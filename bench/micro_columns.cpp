@@ -2,14 +2,16 @@
  * @file
  * Per-column microbenchmark of the FCC3 codec layer: encode and
  * decode throughput (MB/s of raw u64 column data) and compression
- * ratio for every field-codec × entropy-backend cell, measured on
- * the real columns of the seed-2005 synthetic web trace.
+ * ratio for every field codec and writable entropy backend,
+ * measured on the real columns of the seed-2005 synthetic web
+ * trace, plus decode throughput of the decode-only range reader on
+ * the committed tests/vectors payload.
  *
  * Run: ./build/bench/micro_columns [--smoke] [--scalar]
  *                                  [--json out.json]
  *
  * Every codec row reports the scalar reference path next to the
- * dispatched (SWAR/interleaved) path, and the bench fails if their
+ * dispatched (SWAR) path, and the bench fails if their
  * output bytes ever differ. --scalar (or FCC_FORCE_SCALAR=1) makes
  * the dispatched column run the scalar path too — the CI A/B cell.
  *
@@ -20,13 +22,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "codec/backend/backend.hpp"
-#include "codec/backend/range_coder.hpp"
 #include "codec/fcc/fcc_codec.hpp"
 #include "codec/field/field_codec.hpp"
 #include "trace/web_gen.hpp"
@@ -38,6 +41,15 @@ namespace field = fcc::codec::field;
 namespace backend = fcc::codec::backend;
 
 namespace {
+
+/** The whole of @p path (empty when it cannot be read). */
+std::vector<uint8_t>
+readFile(const char *path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
 
 double
 secondsOf(const std::function<void()> &fn, int reps)
@@ -252,9 +264,7 @@ main(int argc, char **argv)
                 "dec MB/s", "bytes", "ratio");
     const backend::EntropyBackend backends[] = {
         backend::EntropyBackend::Store,
-        backend::EntropyBackend::Deflate,
-        backend::EntropyBackend::Range,
-        backend::EntropyBackend::RangeLanes};
+        backend::EntropyBackend::Deflate};
     for (const auto &col : columns) {
         if (std::strcmp(col.name, "ts_time") != 0)
             continue;
@@ -262,34 +272,15 @@ main(int argc, char **argv)
                                            field::FieldCodec::Plain);
         double inMb = static_cast<double>(encoded.size()) / 1e6;
         for (backend::EntropyBackend b : backends) {
-            // The lanes backend takes an explicit dispatch so the
-            // --scalar run exercises its reference path; all other
-            // backends have a single implementation.
-            bool lanes = b == backend::EntropyBackend::RangeLanes;
             std::vector<uint8_t> packed;
             double encSec = secondsOf(
-                [&] {
-                    packed = lanes ? backend::rangeCompressLanes(
-                                         encoded, disp)
-                                   : backend::entropyCompress(
-                                         encoded, b);
-                },
+                [&] { packed = backend::entropyCompress(encoded, b); },
                 reps);
-            if (lanes &&
-                packed != backend::rangeCompressLanes(
-                              encoded, util::Dispatch::Scalar)) {
-                std::fprintf(stderr,
-                             "dispatch MISMATCH: range-lanes\n");
-                return 1;
-            }
             std::vector<uint8_t> unpacked;
             double decSec = secondsOf(
                 [&] {
-                    unpacked =
-                        lanes ? backend::rangeDecompressLanes(
-                                    packed, encoded.size(), disp)
-                              : backend::entropyDecompress(
-                                    packed, b, encoded.size());
+                    unpacked = backend::entropyDecompress(
+                        packed, b, encoded.size());
                 },
                 reps);
             if (unpacked != encoded) {
@@ -304,19 +295,43 @@ main(int argc, char **argv)
                         packed.size(),
                         100.0 * static_cast<double>(packed.size()) /
                             static_cast<double>(encoded.size()));
-            if (b != backend::EntropyBackend::Store) {
-                std::string name =
-                    std::string("backend_") +
-                    backend::backendName(b);
-                for (char &c : name)
-                    if (c == '-')
-                        c = '_';
-                metrics.add(name + "_enc_mbps",
+            if (b == backend::EntropyBackend::Deflate) {
+                metrics.add("backend_deflate_enc_mbps",
                             encSec > 0 ? inMb / encSec : 0.0);
-                metrics.add(name + "_dec_mbps",
+                metrics.add("backend_deflate_dec_mbps",
                             decSec > 0 ? inMb / decSec : 0.0);
             }
         }
+    }
+
+    // The range tags are decode-only: time the reader on the
+    // committed 4-lane tag-3 vector (tests/vectors).
+    {
+        std::vector<uint8_t> packed =
+            readFile(FCC_VECTORS_DIR "/range-lanes-4.bin");
+        std::vector<uint8_t> raw =
+            readFile(FCC_VECTORS_DIR "/range-lanes-4.raw");
+        std::vector<uint8_t> unpacked;
+        double decSec = secondsOf(
+            [&] {
+                unpacked = backend::entropyDecompress(
+                    packed, backend::EntropyBackend::RangeLanes,
+                    raw.size());
+            },
+            reps);
+        if (raw.empty() || unpacked != raw) {
+            std::fprintf(stderr, "round-trip MISMATCH: range vector\n");
+            return 1;
+        }
+        double rawMb = static_cast<double>(raw.size()) / 1e6;
+        std::printf("%-12s %9s %9.1f %8zu %5.1f%%  (decode-only, "
+                    "tests/vectors)\n",
+                    "range-lanes", "-",
+                    decSec > 0 ? rawMb / decSec : 0.0, packed.size(),
+                    100.0 * static_cast<double>(packed.size()) /
+                        static_cast<double>(raw.size()));
+        metrics.add("backend_range_dec_mbps",
+                    decSec > 0 ? rawMb / decSec : 0.0);
     }
 
     if (!jsonPath.empty()) {

@@ -108,8 +108,6 @@ cells()
          false, true},
         {"fcc3", fccc::ContainerFormat::Fcc3, backendEnum::Deflate,
          false, true},
-        {"fcc3_range", fccc::ContainerFormat::Fcc3,
-         backendEnum::Range, false, false},
         {"fcc3_indexed", fccc::ContainerFormat::Fcc3,
          backendEnum::Deflate, true, false},
     };

@@ -5,7 +5,7 @@
  *
  * Usage:
  *   ./build/examples/compare_compressors [--threads N]
- *       [--container fcc1|fcc2|fcc3] [--backend store|deflate|range]
+ *       [--container fcc1|fcc2|fcc3] [--backend store|deflate]
  *       [capture.file]
  *
  * The input format (TSH, pcap, pcapng, each optionally gzip'd) is
@@ -86,7 +86,7 @@ main(int argc, char **argv)
                       codec::fcc::parseContainerName(v);
               });
     flags.add("--backend", "NAME",
-              "store|deflate|range — FCC3 per-column\n"
+              "store|deflate — FCC3 per-column\n"
               "entropy backend (default deflate)",
               [&](const char *v) {
                   fccCfg.backend =
@@ -161,7 +161,6 @@ main(int argc, char **argv)
     const codec::backend::EntropyBackend backends[] = {
         codec::backend::EntropyBackend::Store,
         codec::backend::EntropyBackend::Deflate,
-        codec::backend::EntropyBackend::Range,
     };
     for (auto backend : backends) {
         codec::fcc::FccConfig cfg = fccCfg;

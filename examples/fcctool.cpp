@@ -22,7 +22,7 @@
  *                        access, 0 = unchunked)
  *   --container <fmt>    fcc1|fcc2|fcc3 (default fcc3, the columnar
  *                        container; decompression auto-detects)
- *   --backend <name>     store|deflate|range — FCC3 per-column
+ *   --backend <name>     store|deflate — FCC3 per-column
  *                        entropy backend (default deflate)
  *   --index              compress: write a seekable archive (FCC3
  *                        chunk/flow index for fccquery);
@@ -337,7 +337,7 @@ main(int argc, char **argv)
                       codec::fcc::parseContainerName(v);
               });
     flags.add("--backend", "NAME",
-              "store|deflate|range — FCC3 per-column\n"
+              "store|deflate — FCC3 per-column\n"
               "entropy backend (default deflate)",
               [&](const char *v) {
                   cfg.backend =

@@ -8,14 +8,11 @@
  *  - Store:   identity — already-dense columns, and the fallback
  *             whenever a backend would expand a column;
  *  - Deflate: the built-in zlib container (codec/deflate);
- *  - Range:   adaptive order-0 range coder (range_coder.hpp) — no
- *             match finding, so it wins on short, high-entropy-byte
- *             columns where DEFLATE's headers and match machinery
- *             only add overhead;
- *  - RangeLanes: the same coder split into independent interleaved
- *             lanes (rangeCompressLanes) — trades a little ratio on
- *             large columns for markedly higher single-core coding
- *             speed. Opt-in: "range" columns keep tag 2.
+ *  - Range, RangeLanes (tags 2 and 3): an adaptive order-0 range
+ *             coder, single-stream and lane-split. Decode-only: they
+ *             showed no measured win over deflate
+ *             (docs/BENCHMARKS.md), so nothing writes them, but
+ *             every archive written with them still decodes.
  *
  * The one-byte tag stored next to each column makes every column
  * self-describing, so a single file can mix backends (the encoder
@@ -51,10 +48,22 @@ constexpr uint8_t entropyBackendCount = 4;
  */
 const char *backendName(EntropyBackend backend);
 
-/** Parse a name accepted by backendName(). @throws util::Error */
+/**
+ * Reject the decode-only backends (tags 2 and 3).
+ * @throws util::Error naming @p backend as decode-only
+ */
+void requireWritable(EntropyBackend backend);
+
+/**
+ * Parse the name of a writable backend ("store" or "deflate").
+ * @throws util::Error on an unknown or decode-only name
+ */
 EntropyBackend parseBackendName(const std::string &name);
 
-/** Compress @p data under @p backend. */
+/**
+ * Compress @p data under @p backend.
+ * @throws util::Error unless @p backend is writable
+ */
 std::vector<uint8_t> entropyCompress(std::span<const uint8_t> data,
                                      EntropyBackend backend);
 

@@ -124,6 +124,7 @@ FccConfig::validate() const
     util::require(static_cast<uint8_t>(backend) <
                       backend::entropyBackendCount,
                   "fcc: bad entropy backend tag");
+    backend::requireWritable(backend);
     util::require(!index || container == ContainerFormat::Fcc3,
                   "fcc: the chunk/flow index requires the fcc3 "
                   "container");

@@ -92,6 +92,7 @@ struct FccConfig
      * column after the field codec (with automatic per-column Store
      * fallback when it does not pay). Ignored by FCC1/FCC2, which
      * only know whole-blob hybrid deflate (deflateDatasets).
+     * validate() rejects the decode-only range tags.
      */
     backend::EntropyBackend backend =
         backend::EntropyBackend::Deflate;

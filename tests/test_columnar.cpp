@@ -1,24 +1,30 @@
 /**
  * @file
  * Columnar codec-layer tests: field codecs (plain, zigzag-delta,
- * dictionary, run-length), entropy backends (store, deflate, range
- * coder), and a property/fuzz-style generator of random valid
- * Datasets asserting encode→decode identity across all three
- * containers and all backends — including empty columns, single-flow
- * datasets, u32/u64 boundary values and maximum-length varints.
+ * dictionary, run-length), entropy backends (store, deflate, and the
+ * decode-only range reader, fed golden tag-2 streams and the
+ * committed tag-3 vectors), and a property/fuzz-style generator of
+ * random valid Datasets asserting encode→decode identity across all
+ * three containers and both writable backends — including empty
+ * columns, single-flow datasets, u32/u64 boundary values and
+ * maximum-length varints.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "codec/backend/backend.hpp"
-#include "codec/backend/range_coder.hpp"
 #include "codec/fcc/datasets.hpp"
 #include "codec/fcc/fcc_codec.hpp"
 #include "codec/field/field_codec.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -37,12 +43,95 @@ const field::FieldCodec allCodecs[] = {
     field::FieldCodec::Rle,
 };
 
-const backend::EntropyBackend allBackends[] = {
+const backend::EntropyBackend writableBackends[] = {
     backend::EntropyBackend::Store,
     backend::EntropyBackend::Deflate,
+};
+
+const backend::EntropyBackend decodeOnlyBackends[] = {
     backend::EntropyBackend::Range,
     backend::EntropyBackend::RangeLanes,
 };
+
+std::vector<uint8_t>
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << "missing test file: " << path;
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/**
+ * A 4-lane tag-3 payload of 16387 raw bytes (≡ 3 mod 4, so three
+ * lanes carry one byte more than the fourth) and those raw bytes,
+ * written by the last range-lanes encoder (tests/vectors/README.md).
+ */
+struct RangeVector
+{
+    std::vector<uint8_t> payload =
+        readFile(FCC_VECTORS_DIR "/range-lanes-4.bin");
+    std::vector<uint8_t> raw =
+        readFile(FCC_VECTORS_DIR "/range-lanes-4.raw");
+};
+
+/** One FCC3 column frame's backend payload. */
+struct GoldenColumn
+{
+    std::vector<uint8_t> stream;
+    size_t rawSize = 0;  ///< the frame's encodedBytes
+    size_t index = 0;    ///< column position in the file
+};
+
+/**
+ * The columns stored under @p backend in an unindexed, exact-tier
+ * FCC3 golden archive (header: magic, three u16 weights, colByte;
+ * then the twelve column frames back to back).
+ */
+std::vector<GoldenColumn>
+goldenColumns(const char *name, backend::EntropyBackend backend)
+{
+    std::vector<uint8_t> archive =
+        readFile(std::string(FCC_GOLDEN_DIR) + "/" + name);
+    util::ByteReader r(archive);
+    r.skip(11);
+    std::vector<GoldenColumn> out;
+    for (size_t c = 0; c < fccc::fcc3ColumnCount; ++c) {
+        fccc::ColumnFrame frame = fccc::readColumnFrame(r);
+        if (frame.backend == backend)
+            out.push_back(
+                {{frame.payload.begin(), frame.payload.end()},
+                 static_cast<size_t>(frame.encodedBytes),
+                 c});
+    }
+    EXPECT_TRUE(r.exhausted()) << name;
+    return out;
+}
+
+/** The largest tag-2 column of the golden range archive, and the
+ *  field-coded bytes the store archive holds for that column. */
+struct GoldenRangeColumn
+{
+    GoldenColumn range;
+    std::vector<uint8_t> raw;
+};
+
+GoldenRangeColumn
+largestGoldenRangeColumn()
+{
+    GoldenRangeColumn out;
+    for (GoldenColumn &col : goldenColumns(
+             "fcc3-range.fcc", backend::EntropyBackend::Range))
+        if (col.rawSize > out.range.rawSize)
+            out.range = std::move(col);
+    for (GoldenColumn &col : goldenColumns(
+             "fcc3-store.fcc", backend::EntropyBackend::Store))
+        if (col.index == out.range.index)
+            out.raw = std::move(col.stream);
+    EXPECT_GT(out.range.rawSize, 0u);
+    EXPECT_EQ(out.raw.size(), out.range.rawSize);
+    return out;
+}
 
 /** Round-trip @p values through every codec and check the chooser. */
 void
@@ -165,62 +254,183 @@ TEST(FieldCodec, RejectsMalformedColumns)
         util::Error);
 }
 
-TEST(RangeCoder, RoundTripsByteStreams)
-{
-    util::Rng rng(0xace);
-    std::vector<std::vector<uint8_t>> cases = {
-        {},
-        {0},
-        {0xff},
-        std::vector<uint8_t>(1000, 0),
-        std::vector<uint8_t>(1000, 0xa5),
-    };
-    // Random and skewed streams.
-    std::vector<uint8_t> random(8192);
-    for (auto &b : random)
-        b = static_cast<uint8_t>(rng.next());
-    cases.push_back(random);
-    std::vector<uint8_t> skewed(8192);
-    for (auto &b : skewed)
-        b = rng.chance(0.9) ? 0 : static_cast<uint8_t>(rng.next());
-    cases.push_back(skewed);
-
-    for (const auto &data : cases) {
-        auto packed = backend::rangeCompress(data);
-        auto unpacked =
-            backend::rangeDecompress(packed, data.size());
-        EXPECT_EQ(unpacked, data);
-        // Deterministic: same input, same bits.
-        EXPECT_EQ(packed, backend::rangeCompress(data));
-    }
-
-    // The adaptive model must actually compress a skewed stream.
-    auto packed = backend::rangeCompress(skewed);
-    EXPECT_LT(packed.size(), skewed.size() / 2);
-}
-
 TEST(Backend, DispatchRoundTripsAndValidates)
 {
     util::Rng rng(0xbac);
     std::vector<uint8_t> data(4096);
     for (auto &b : data)
         b = static_cast<uint8_t>(rng.uniformInt(0, 15));
-    for (backend::EntropyBackend b : allBackends) {
+    constexpr size_t kMiB = size_t{1} << 20;
+    for (backend::EntropyBackend b : writableBackends) {
         auto packed = backend::entropyCompress(data, b);
         auto unpacked =
             backend::entropyDecompress(packed, b, data.size());
         EXPECT_EQ(unpacked, data) << backendName(b);
-        // Store and deflate know their own output size, so a wrong
-        // raw size must be flagged. The range coders produce
-        // exactly as many bytes as asked by construction (the
-        // container's encodedBytes is its only length source).
-        if (b != backend::EntropyBackend::Range &&
-            b != backend::EntropyBackend::RangeLanes) {
+        for (size_t extra : {size_t{1}, kMiB})
             EXPECT_THROW(backend::entropyDecompress(
-                             packed, b, data.size() + 1),
+                             packed, b, data.size() + extra),
                          util::Error)
                 << backendName(b);
+    }
+    // A range stream does not carry its output size, but a raw size
+    // far beyond what the payload encodes runs the stream dry.
+    RangeVector vec;
+    EXPECT_THROW(backend::entropyDecompress(
+                     vec.payload, backend::EntropyBackend::RangeLanes,
+                     vec.raw.size() + kMiB),
+                 util::Error);
+    GoldenRangeColumn col = largestGoldenRangeColumn();
+    EXPECT_THROW(backend::entropyDecompress(
+                     col.range.stream, backend::EntropyBackend::Range,
+                     col.range.rawSize + kMiB),
+                 util::Error);
+}
+
+TEST(Backend, RangeTagsAreDecodeOnly)
+{
+    std::vector<uint8_t> data(100, 7);
+    for (backend::EntropyBackend b : decodeOnlyBackends) {
+        SCOPED_TRACE(backendName(b));
+        EXPECT_THROW(backend::entropyCompress(data, b), util::Error);
+        EXPECT_THROW(backend::parseBackendName(backendName(b)),
+                     util::Error);
+        // A library caller is refused the same way as the CLI.
+        fccc::FccConfig cfg;
+        cfg.container = fccc::ContainerFormat::Fcc3;
+        cfg.backend = b;
+        try {
+            cfg.validate();
+            ADD_FAILURE() << "validate() accepted a decode-only tag";
+        } catch (const util::Error &error) {
+            EXPECT_NE(std::string(error.what()).find("decode-only"),
+                      std::string::npos)
+                << error.what();
         }
+    }
+    // Every tag keeps its name, so old archives stay labelled.
+    EXPECT_STREQ(backendName(backend::EntropyBackend::Range), "range");
+    EXPECT_STREQ(backendName(backend::EntropyBackend::RangeLanes),
+                 "range-lanes");
+    for (backend::EntropyBackend b : writableBackends)
+        EXPECT_EQ(backend::parseBackendName(backendName(b)), b);
+}
+
+TEST(RangeReader, GoldenTag2StreamsDecode)
+{
+    auto store = goldenColumns("fcc3-store.fcc",
+                               backend::EntropyBackend::Store);
+    auto ranged = goldenColumns("fcc3-range.fcc",
+                                backend::EntropyBackend::Range);
+    ASSERT_EQ(store.size(), fccc::fcc3ColumnCount);
+    ASSERT_FALSE(ranged.empty());
+    for (const GoldenColumn &col : ranged) {
+        SCOPED_TRACE(col.index);
+        EXPECT_EQ(backend::entropyDecompress(
+                      col.stream, backend::EntropyBackend::Range,
+                      col.rawSize),
+                  store[col.index].stream);
+    }
+}
+
+TEST(RangeReader, HandAssembledLanePayloadsDecode)
+{
+    // The golden corpus only pins single-lane tag-3 payloads; build
+    // 2-, 4- and 8-lane ones from copies of one golden tag-2 stream.
+    GoldenRangeColumn col = largestGoldenRangeColumn();
+    for (size_t lanes : {2u, 4u, 8u}) {
+        SCOPED_TRACE(lanes);
+        util::ByteWriter w;
+        w.u8(static_cast<uint8_t>(lanes));
+        for (size_t l = 0; l + 1 < lanes; ++l)
+            w.varint(col.range.stream.size());
+        std::vector<uint8_t> expected;
+        for (size_t l = 0; l < lanes; ++l) {
+            w.bytes(col.range.stream);
+            expected.insert(expected.end(), col.raw.begin(),
+                            col.raw.end());
+        }
+        EXPECT_EQ(backend::entropyDecompress(
+                      w.take(), backend::EntropyBackend::RangeLanes,
+                      expected.size()),
+                  expected);
+    }
+}
+
+TEST(RangeReader, CommittedFourLaneVectorDecodes)
+{
+    RangeVector vec;
+    ASSERT_FALSE(vec.payload.empty());
+    EXPECT_EQ(vec.payload[0], 4);
+    EXPECT_EQ(vec.raw.size() % 4, 3u);
+    EXPECT_EQ(backend::entropyDecompress(
+                  vec.payload, backend::EntropyBackend::RangeLanes,
+                  vec.raw.size()),
+              vec.raw);
+}
+
+TEST(RangeReader, MalformedPayloadsRejected)
+{
+    RangeVector vec;
+    ASSERT_FALSE(vec.payload.empty());
+    const auto lanes = backend::EntropyBackend::RangeLanes;
+    const size_t rawSize = vec.raw.size();
+    // Bad lane counts.
+    for (uint8_t laneByte : {uint8_t{0}, uint8_t{9}, uint8_t{200}}) {
+        auto bad = vec.payload;
+        bad[0] = laneByte;
+        EXPECT_THROW(backend::entropyDecompress(bad, lanes, rawSize),
+                     util::Error);
+    }
+    // Truncated header / lane-length table.
+    for (size_t keep : {size_t{0}, size_t{1}, size_t{2}, size_t{4}}) {
+        std::vector<uint8_t> cut(
+            vec.payload.begin(),
+            vec.payload.begin() + static_cast<long>(keep));
+        EXPECT_THROW(backend::entropyDecompress(cut, lanes, rawSize),
+                     util::Error)
+            << "kept " << keep << " bytes";
+    }
+    // A lane length pointing past the payload.
+    {
+        util::ByteReader r(vec.payload);
+        r.u8();
+        util::ByteWriter w;
+        w.u8(4);
+        r.varint();
+        w.varint(vec.payload.size());  // lane 0 claims everything
+        w.varint(r.varint());
+        w.varint(r.varint());
+        w.bytes(std::span<const uint8_t>(vec.payload)
+                    .subspan(r.position()));
+        EXPECT_THROW(
+            backend::entropyDecompress(w.take(), lanes, rawSize),
+            util::Error);
+    }
+    // A non-empty payload for an empty stream, under both tags.
+    EXPECT_THROW(backend::entropyDecompress(vec.payload, lanes, 0),
+                 util::Error);
+    const std::vector<uint8_t> stray{1, 2, 3};
+    for (backend::EntropyBackend b : decodeOnlyBackends)
+        EXPECT_THROW(backend::entropyDecompress(stray, b, 0),
+                     util::Error)
+            << backendName(b);
+}
+
+TEST(RangeReader, HostileRawSizeFailsFast)
+{
+    // A 3-byte payload claiming 200 MB: the reader used to feed zero
+    // bits past the end for the whole size (seconds of CPU and the
+    // full allocation) before the size check could fire.
+    const std::vector<uint8_t> tiny{1, 0x5a, 0xa5};
+    for (backend::EntropyBackend b : decodeOnlyBackends) {
+        SCOPED_TRACE(backendName(b));
+        auto t0 = std::chrono::steady_clock::now();
+        EXPECT_THROW(backend::entropyDecompress(tiny, b, 200000000),
+                     util::Error);
+        EXPECT_LT(std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count(),
+                  1.0);
     }
 }
 
@@ -352,8 +562,8 @@ TEST(ColumnarFuzz, RandomDatasetsRoundTripAllContainersAllBackends)
         fccc::Datasets d2 = fccc::deserialize(v2);
         expectSameDatasets(d, d2);
 
-        // FCC3 under every backend.
-        for (backend::EntropyBackend b : allBackends) {
+        // FCC3 under every writable backend.
+        for (backend::EntropyBackend b : writableBackends) {
             auto v3 = fccc::serializeColumnar(d, chunkRecords, b,
                                               sizes);
             fccc::Datasets d3 = fccc::deserialize(v3);
@@ -449,7 +659,7 @@ TEST(Columnar, CompressorWritesAndReadsFcc3)
     // End-to-end through the FccTraceCompressor config surface.
     fccc::FccConfig cfg;
     cfg.container = fccc::ContainerFormat::Fcc3;
-    cfg.backend = backend::EntropyBackend::Range;
+    cfg.backend = backend::EntropyBackend::Store;
     fccc::FccTraceCompressor codec(cfg);
 
     util::Rng rng(99);

@@ -142,8 +142,6 @@ matrixCells()
          backendEnum::Store, false},
         {"fcc3-deflate", fccc::ContainerFormat::Fcc3,
          backendEnum::Deflate, false},
-        {"fcc3-range", fccc::ContainerFormat::Fcc3,
-         backendEnum::Range, false},
         {"fcc3-indexed", fccc::ContainerFormat::Fcc3,
          backendEnum::Deflate, true},
     };
@@ -474,7 +472,7 @@ TEST(ScenarioComplexity, MetricsAreSane)
  * Randomized-seed sweep across every generator's parameter edges: 0
  * flows, 1 flow, max rate, pathological tails, full reorder/loss.
  * Every edge must generate, stay time-ordered, and round-trip
- * (packet-count preserving) through FCC2 and FCC3-range.
+ * (packet-count preserving) through FCC2 and FCC3.
  */
 TEST(ScenarioFuzz, ParameterEdgesRoundTrip)
 {
@@ -532,7 +530,6 @@ TEST(ScenarioFuzz, ParameterEdgesRoundTrip)
                       fccc::ContainerFormat::Fcc3}) {
                     fccc::FccConfig cfg;
                     cfg.container = container;
-                    cfg.backend = backendEnum::Range;
                     cfg.threads = 2;
                     cfg.chunkRecords = 32;
                     std::string fccOut = tempPath("fuzz_out.fcc");

@@ -1,13 +1,11 @@
 /**
  * @file
  * Differential fuzz suite for the scalar/accelerated dispatch pairs
- * (util/simd.hpp): every SWAR or interleaved hot path must produce
- * bytes identical to its scalar reference — varint batches, the
- * zigzag-delta column codec, the lane-split range coder, slice-by-8
- * CRC-32 and batched Bloom build/probe — across random, boundary
- * (u64-max, maximum-length varints) and adversarial-scenario inputs,
- * including malformed streams (both paths must reject identically)
- * and the full compressor at 1/2/4/8 worker threads.
+ * (util/simd.hpp): every SWAR hot path must produce bytes identical
+ * to its scalar reference — varint batches, the zigzag-delta column
+ * codec, slice-by-8 CRC-32 and batched Bloom build/probe — across
+ * random and boundary (u64-max, maximum-length varints) inputs,
+ * including malformed streams (both paths must reject identically).
  *
  * Explicit Dispatch::Scalar / Dispatch::Accel bypass the
  * FCC_FORCE_SCALAR environment override, so the comparisons below
@@ -18,28 +16,20 @@
 
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "codec/backend/range_coder.hpp"
-#include "codec/fcc/fcc_codec.hpp"
 #include "codec/fcc/index.hpp"
 #include "codec/field/field_codec.hpp"
-#include "trace/scenario_gen.hpp"
 #include "util/bytes.hpp"
 #include "util/checksum.hpp"
 #include "util/error.hpp"
-#include "util/io.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
-
-#include "test_common.hpp"
 
 using namespace fcc;
 namespace fccc = fcc::codec::fcc;
 namespace field = fcc::codec::field;
-namespace backend = fcc::codec::backend;
 
 namespace {
 
@@ -263,91 +253,6 @@ TEST(SimdFieldCodec, TrailingBytesRejectedBothPaths)
 }
 
 // ---------------------------------------------------------------
-// Lane-split range coder
-// ---------------------------------------------------------------
-
-TEST(SimdRangeLanes, RoundTripAllSizes)
-{
-    util::Rng rng(0xA1B2C3);
-    // Sizes straddle every lane-count threshold of
-    // rangeLaneCount(): 1 lane (< 4 KiB), 4 lanes, and the 8-lane
-    // regime, plus the remainder-lane edge cases.
-    const size_t sizes[] = {0,    1,    7,      4095,   4096,
-                            4097, 8191, 100000, 1048577};
-    for (size_t size : sizes) {
-        std::vector<uint8_t> data(size);
-        for (auto &b : data)
-            b = static_cast<uint8_t>(rng.uniformInt(0, 255));
-
-        auto scalar = backend::rangeCompressLanes(data, kScalar);
-        auto accel = backend::rangeCompressLanes(data, kAccel);
-        ASSERT_EQ(scalar, accel) << "size " << size;
-
-        EXPECT_EQ(backend::rangeDecompressLanes(scalar, size,
-                                                kScalar),
-                  data)
-            << "size " << size;
-        EXPECT_EQ(backend::rangeDecompressLanes(scalar, size,
-                                                kAccel),
-                  data)
-            << "size " << size;
-    }
-}
-
-TEST(SimdRangeLanes, SingleLanePayloadMatchesSerialCoder)
-{
-    // Below the 4 KiB threshold the lane payload is exactly one
-    // serial range-coder stream behind the 1-byte header.
-    std::vector<uint8_t> data(1000, 0x5a);
-    auto lanes = backend::rangeCompressLanes(data);
-    auto serial = backend::rangeCompress(data);
-    ASSERT_GE(lanes.size(), 1u);
-    EXPECT_EQ(lanes[0], 1);
-    EXPECT_EQ(std::vector<uint8_t>(lanes.begin() + 1, lanes.end()),
-              serial);
-}
-
-TEST(SimdRangeLanes, MalformedPayloadsRejected)
-{
-    std::vector<uint8_t> data(8192, 0x11);
-    auto packed = backend::rangeCompressLanes(data);
-    for (util::Dispatch d : {kScalar, kAccel}) {
-        // Bad lane counts.
-        for (uint8_t laneByte : {uint8_t{0}, uint8_t{9},
-                                 uint8_t{200}}) {
-            auto bad = packed;
-            bad[0] = laneByte;
-            EXPECT_THROW(backend::rangeDecompressLanes(
-                             bad, data.size(), d),
-                         util::Error);
-        }
-        // Truncated header / lane-length table.
-        EXPECT_THROW(backend::rangeDecompressLanes({}, data.size(),
-                                                   d),
-                     util::Error);
-        std::vector<uint8_t> onlyCount{4};
-        EXPECT_THROW(backend::rangeDecompressLanes(
-                         onlyCount, data.size(), d),
-                     util::Error);
-        // Lane length pointing past the payload.
-        {
-            util::ByteWriter w;
-            w.u8(2);
-            w.varint(1000);  // lane 0 claims 1000 bytes...
-            w.u8(0x00);      // ...but only one byte follows
-            auto bad = w.take();
-            EXPECT_THROW(backend::rangeDecompressLanes(
-                             bad, data.size(), d),
-                         util::Error);
-        }
-        // Non-empty payload for an empty stream.
-        std::vector<uint8_t> stray{1, 2, 3};
-        EXPECT_THROW(backend::rangeDecompressLanes(stray, 0, d),
-                     util::Error);
-    }
-}
-
-// ---------------------------------------------------------------
 // CRC-32
 // ---------------------------------------------------------------
 
@@ -438,87 +343,4 @@ TEST(SimdBloom, BuildIdentityAndNoFalseNegatives)
                           fccc::serverFingerprint(ip)));
         }
     }
-}
-
-// ---------------------------------------------------------------
-// Whole-compressor byte identity across worker-thread counts
-// ---------------------------------------------------------------
-
-TEST(SimdThreads, RangeLanesArchiveBytesThreadInvariant)
-{
-    // The lane count derives only from the column size, never from
-    // scheduling, so the full FCC3 archive must be byte-identical at
-    // any thread count — on adversarial inputs, not just web traffic.
-    const trace::ScenarioKind kinds[] = {
-        trace::ScenarioKind::SynFlood,
-        trace::ScenarioKind::Reordering,
-    };
-    for (trace::ScenarioKind kind : kinds) {
-        SCOPED_TRACE(trace::scenarioName(kind));
-        trace::ScenarioConfig cfg =
-            trace::scenarioDefaults(kind, 0x515D);
-        cfg.durationSec = 3.0;
-        cfg.flows = 300;
-        trace::ScenarioGenerator gen(cfg);
-        trace::Trace trace = gen.generate();
-
-        std::vector<uint8_t> reference;
-        for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-            fccc::FccConfig fcfg;
-            fcfg.container = fccc::ContainerFormat::Fcc3;
-            fcfg.backend = backend::EntropyBackend::RangeLanes;
-            fcfg.chunkRecords = 256;
-            fcfg.threads = threads;
-            fccc::FccTraceCompressor codec(fcfg);
-            auto compressed = codec.compress(trace);
-            if (threads == 1) {
-                reference = compressed;
-                // The archive must survive its own decompressor.
-                auto out = codec.decompress(compressed);
-                EXPECT_GT(out.size(), 0u);
-            } else {
-                EXPECT_EQ(compressed, reference)
-                    << "threads=" << threads;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------
-// Readahead byte source
-// ---------------------------------------------------------------
-
-TEST(SimdReadahead, MatchesWholeFileRead)
-{
-    if (!util::ReadaheadByteSource::supported())
-        GTEST_SKIP() << "posix_fadvise unavailable on this platform";
-
-    const std::string path =
-        fcc::test::tempPath("simd_readahead.bin");
-    util::Rng rng(0xFEED5EED);
-    std::vector<uint8_t> content(300000);
-    for (auto &b : content)
-        b = static_cast<uint8_t>(rng.uniformInt(0, 255));
-    {
-        std::ofstream out(path, std::ios::binary);
-        out.write(reinterpret_cast<const char *>(content.data()),
-                  static_cast<std::streamsize>(content.size()));
-    }
-
-    // A small window forces several refills; ragged read sizes hit
-    // the copy-across-window boundaries.
-    util::ReadaheadByteSource src(path, 64 * 1024);
-    std::vector<uint8_t> got;
-    std::vector<uint8_t> chunk(1 << 14);
-    uint64_t step = 1;
-    for (;;) {
-        size_t want = (step = step * 5 + 1) % chunk.size() + 1;
-        size_t n = src.read(chunk.data(), want);
-        if (n == 0)
-            break;
-        got.insert(got.end(), chunk.begin(),
-                   chunk.begin() + static_cast<long>(n));
-    }
-    EXPECT_EQ(got, content);
-    std::remove(path.c_str());
 }

@@ -135,7 +135,7 @@ main(int argc, char **argv)
                           "--chunk-records", v, 1, UINT32_MAX));
               });
     flags.add("--backend", "NAME",
-              "store|deflate|range — FCC3 per-column\n"
+              "store|deflate — FCC3 per-column\n"
               "entropy backend (default deflate)",
               [&](const char *v) {
                   config.codec.backend =

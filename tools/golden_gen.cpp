@@ -9,7 +9,9 @@
  * Writes, from one deterministic synthetic trace:
  *  - source.tsh: the input trace (provenance; the goldens are
  *    self-contained, the test never re-compresses it),
- *  - one archive per container/backend/layout/fidelity cell,
+ *  - one archive per container/backend/layout/fidelity cell a
+ *    writer still emits (the fcc3-range*.fcc archives are
+ *    decode-only compat vectors: kept, never regenerated),
  *  - the expected decompression references: expected-fcc1.tsh (the
  *    unchunked expansion), expected-chunked.tsh (every chunked
  *    container — FCC2 and all FCC3 variants decode identically),
@@ -19,7 +21,9 @@
  * Run this ONLY when the wire format intentionally changes, and
  * commit the regenerated corpus together with the format bump —
  * test_golden failing after an innocent-looking change means the
- * change was not innocent.
+ * change was not innocent. The golden_regen test runs it into a
+ * scratch directory and compares every file it writes with the
+ * committed corpus, so no writer can drift from it unnoticed.
  */
 
 #include <cstdio>
@@ -92,15 +96,6 @@ main(int argc, char **argv)
          Backend::Deflate, false, fccc::Fidelity::Exact},
         {"fcc3-deflate-indexed.fcc", fccc::ContainerFormat::Fcc3,
          Backend::Deflate, true, fccc::Fidelity::Exact},
-        {"fcc3-range.fcc", fccc::ContainerFormat::Fcc3,
-         Backend::Range, false, fccc::Fidelity::Exact},
-        {"fcc3-range-indexed.fcc", fccc::ContainerFormat::Fcc3,
-         Backend::Range, true, fccc::Fidelity::Exact},
-        {"fcc3-range-lanes.fcc", fccc::ContainerFormat::Fcc3,
-         Backend::RangeLanes, false, fccc::Fidelity::Exact},
-        {"fcc3-range-lanes-indexed.fcc",
-         fccc::ContainerFormat::Fcc3, Backend::RangeLanes, true,
-         fccc::Fidelity::Exact},
         {"fcc3-quantized-indexed.fcc", fccc::ContainerFormat::Fcc3,
          Backend::Deflate, true, fccc::Fidelity::Quantized},
         {"fcc3-header-indexed.fcc", fccc::ContainerFormat::Fcc3,
