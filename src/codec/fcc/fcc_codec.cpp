@@ -418,48 +418,95 @@ FccTraceCompressor::compress(const trace::Trace &trace) const
 trace::Trace
 FccTraceCompressor::expand(const Datasets &d) const
 {
-    util::require(d.fidelity != Fidelity::Flow,
-                  "fcc: flow-fidelity archives carry no per-packet "
-                  "data to reconstruct");
     std::vector<trace::PacketRecord> packets;
-    if (d.chunkSizes.empty()) {
-        // Legacy FCC1: one sequential RNG stream over all records.
-        util::Rng rng(cfg_.decompressSeed);
-        for (const auto &rec : d.timeSeq)
-            expandFlow(d, rec, rng, packets);
-    } else {
-        size_t chunks = d.chunkSizes.size();
-        std::vector<std::vector<trace::PacketRecord>> perChunk(
-            chunks);
-        auto expandOne = [&](size_t c) {
-            expandChunk(d, c, perChunk[c]);
-        };
-        unsigned threads = resolveThreads(cfg_.threads);
-        if (threads > 1 && chunks > 1) {
-            util::ThreadPool pool(threads);
-            pool.parallelFor(chunks, expandOne);
-        } else {
-            for (size_t c = 0; c < chunks; ++c)
-                expandOne(c);
-        }
-
-        size_t total = 0;
-        for (const auto &chunk : perChunk)
-            total += chunk.size();
-        packets.reserve(total);
-        for (auto &chunk : perChunk)
-            packets.insert(packets.end(), chunk.begin(), chunk.end());
-    }
-    // Canonical total order (not a bare time sort): every expansion
-    // path — in-memory, streaming flush, query merge — must emit
-    // equal-timestamp packets identically for reconstruction to be
-    // byte-exact across containers and thread counts.
-    std::sort(packets.begin(), packets.end(),
-              trace::packetCanonicalLess);
+    expandInOrder(d, [&packets](
+                         std::span<const trace::PacketRecord> batch) {
+        packets.insert(packets.end(), batch.begin(), batch.end());
+    });
     return trace::Trace(std::move(packets));
 }
 
 void
+FccTraceCompressor::expandInOrder(
+    const Datasets &d,
+    const std::function<void(std::span<const trace::PacketRecord>)>
+        &emit) const
+{
+    util::require(d.fidelity != Fidelity::Flow,
+                  "fcc: flow-fidelity archives carry no per-packet "
+                  "data to reconstruct");
+    trace::RunMerge merge;
+    std::vector<trace::PacketRecord> flushed;
+    // Everything older than the first record not yet expanded can be
+    // emitted: records are time-sorted, so no later flow starts
+    // earlier.
+    auto flushBefore = [&](size_t nextRecord) {
+        uint64_t limitNs = nextRecord < d.timeSeq.size()
+            ? d.timeSeq[nextRecord].firstTimestampUs * 1000
+            : ~0ull;
+        flushed.clear();
+        merge.drainBefore(limitNs, flushed);
+        if (!flushed.empty())
+            emit(flushed);
+    };
+
+    if (d.chunkSizes.empty()) {
+        // Legacy FCC1: one sequential RNG stream over all records.
+        constexpr size_t batchRecords = 4096;
+        util::Rng rng(cfg_.decompressSeed);
+        std::vector<trace::RunBound> runs;
+        for (size_t base = 0; base < d.timeSeq.size();
+             base += batchRecords) {
+            size_t end =
+                std::min(d.timeSeq.size(), base + batchRecords);
+            std::vector<trace::PacketRecord> packets;
+            runs.clear();
+            for (size_t i = base; i < end; ++i)
+                runs.push_back(
+                    expandFlow(d, d.timeSeq[i], rng, packets));
+            merge.add(std::move(packets), runs);
+            flushBefore(end);
+        }
+        return;
+    }
+
+    size_t chunks = d.chunkSizes.size();
+    std::vector<size_t> offset(chunks + 1, 0);
+    for (size_t c = 0; c < chunks; ++c)
+        offset[c + 1] = offset[c] + d.chunkSizes[c];
+    util::require(offset[chunks] == d.timeSeq.size(),
+                  "fcc: chunk sizes disagree with time-seq");
+
+    unsigned threads = resolveThreads(cfg_.threads);
+    std::unique_ptr<util::ThreadPool> pool;
+    if (threads > 1 && chunks > 1)
+        pool = std::make_unique<util::ThreadPool>(threads);
+    size_t batchChunks = std::max<size_t>(1, size_t{threads} * 2);
+
+    std::vector<std::vector<trace::PacketRecord>> perChunk;
+    std::vector<std::vector<trace::RunBound>> perChunkRuns;
+    for (size_t base = 0; base < chunks; base += batchChunks) {
+        size_t end = std::min(chunks, base + batchChunks);
+        perChunk.assign(end - base, {});
+        perChunkRuns.assign(end - base, {});
+        auto expandOne = [&](size_t i) {
+            expandChunk(d, base + i, perChunk[i], &perChunkRuns[i]);
+        };
+        if (pool)
+            pool->parallelFor(end - base, expandOne);
+        else
+            for (size_t i = 0; i < end - base; ++i)
+                expandOne(i);
+        // Drain chunk by chunk: the merge then works on one chunk
+        // plus the open flows' tails, and frees each chunk early.
+        for (size_t i = 0; i < end - base; ++i) {
+            merge.add(std::move(perChunk[i]), perChunkRuns[i]);
+            flushBefore(offset[base + i + 1]);
+        }
+    }
+}
+
+trace::RunBound
 FccTraceCompressor::expandFlow(const Datasets &d,
                                const TimeSeqRecord &rec,
                                util::Rng &rng,
@@ -584,12 +631,14 @@ FccTraceCompressor::expandFlow(const Datasets &d,
             out.push_back(pkt);
         }
     }
+    return {out.size(), rec.firstTimestampUs * 1000};
 }
 
 void
 FccTraceCompressor::expandChunk(
     const Datasets &d, size_t chunk,
-    std::vector<trace::PacketRecord> &out) const
+    std::vector<trace::PacketRecord> &out,
+    std::vector<trace::RunBound> *runs) const
 {
     util::require(d.fidelity != Fidelity::Flow,
                   "fcc: flow-fidelity archives carry no per-packet "
@@ -607,8 +656,11 @@ FccTraceCompressor::expandChunk(
     // index): chunks expand in any order — or in parallel — and
     // still produce the same packets.
     util::Rng rng(chunkRngSeed(cfg_.decompressSeed, chunk));
-    for (size_t i = begin; i < end; ++i)
-        expandFlow(d, d.timeSeq[i], rng, out);
+    for (size_t i = begin; i < end; ++i) {
+        trace::RunBound run = expandFlow(d, d.timeSeq[i], rng, out);
+        if (runs != nullptr)
+            runs->push_back(run);
+    }
 }
 
 trace::Trace

@@ -27,6 +27,7 @@
 #define FCC_CODEC_FCC_FCC_CODEC_HPP
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -34,6 +35,7 @@
 #include "codec/fcc/datasets.hpp"
 #include "flow/characterize.hpp"
 #include "flow/flow_table.hpp"
+#include "trace/run_merge.hpp"
 #include "util/rng.hpp"
 
 namespace fcc::codec::fcc {
@@ -210,25 +212,44 @@ class FccTraceCompressor : public TraceCompressor
                   FccCompressStats &stats) const;
 
     /**
-     * Expand in-memory datasets into a reconstructed trace. Chunked
-     * datasets (FCC2/FCC3) expand one chunk per task on cfg.threads
-     * workers, each chunk drawing from its own RNG stream seeded
-     * from (decompressSeed, chunk index); unchunked datasets (FCC1,
-     * or FCC3 with chunkRecords == 0) replay the legacy single
-     * sequential stream. Expansion depends only on the chunk
-     * layout, never on the container that carried it — equal
-     * layouts reconstruct identical packets.
+     * Expand in-memory datasets into a reconstructed trace: the
+     * expandInOrder() packets, collected.
      */
     trace::Trace expand(const Datasets &datasets) const;
 
     /**
-     * Expand one time-seq record into its flow's packets, appended
-     * to @p out in flow order (not globally time-sorted). @p rng
-     * supplies the §4 random source address / client port; expand()
-     * and the streaming decompressor share this so both produce the
-     * same packets for the same seed.
+     * The paper's §4 flush. Expand every record and hand the packets
+     * to @p emit in canonical order (packetCanonicalLess), a batch
+     * at a time. Chunked datasets (FCC2/FCC3) expand 2 x threads
+     * chunks per batch on cfg.threads workers, each chunk drawing
+     * from its own RNG stream seeded from (decompressSeed, chunk
+     * index); unchunked datasets (FCC1, or FCC3 with chunkRecords ==
+     * 0) replay the legacy single sequential stream, 4096 records
+     * per batch. Each flow's packets are one run of a
+     * trace::RunMerge. The merge takes a batch's chunks one at a
+     * time and emits everything older than the next chunk's (or
+     * batch's) first record, so memory holds one batch plus the open
+     * flows' pending packets. The packets depend only on the chunk
+     * layout — never on the container, the thread count or the
+     * batching.
      */
-    void
+    void expandInOrder(
+        const Datasets &datasets,
+        const std::function<void(std::span<const trace::PacketRecord>)>
+            &emit) const;
+
+    /**
+     * Expand one time-seq record into its flow's packets, appended
+     * to @p out in flow order (not globally time-sorted, and not
+     * always canonically sorted within the flow: equal timestamps
+     * tie-break on header fields). @p rng supplies the §4 random
+     * source address / client port; every decode path shares this
+     * so all produce the same packets for the same seed.
+     *
+     * @return the flow's run: where it ends in @p out, and its
+     *         floor, the record's first timestamp.
+     */
+    trace::RunBound
     expandFlow(const Datasets &datasets, const TimeSeqRecord &record,
                util::Rng &rng,
                std::vector<trace::PacketRecord> &out) const;
@@ -236,12 +257,13 @@ class FccTraceCompressor : public TraceCompressor
     /**
      * Expand every record of chunk @p chunk (index into
      * Datasets::chunkSizes) into @p out, drawing from the chunk's
-     * own RNG stream. Chunks may be expanded in any order or
-     * concurrently; expand() and the streaming decompressor share
-     * this so both reconstruct identical packets.
+     * own RNG stream, and append each flow's run to @p runs when
+     * non-null. Chunks may be expanded in any order or
+     * concurrently.
      */
     void expandChunk(const Datasets &datasets, size_t chunk,
-                     std::vector<trace::PacketRecord> &out) const;
+                     std::vector<trace::PacketRecord> &out,
+                     std::vector<trace::RunBound> *runs = nullptr) const;
 
     const FccConfig &config() const { return cfg_; }
 

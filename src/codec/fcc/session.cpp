@@ -10,13 +10,10 @@
 #include "codec/fcc/session.hpp"
 
 #include <algorithm>
-#include <memory>
-#include <queue>
 
 #include "trace/tsh.hpp"
 #include "util/error.hpp"
 #include "util/io.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fcc::codec::fcc {
 
@@ -356,103 +353,22 @@ StreamStats
 DecompressSession::drainTo(trace::TraceSink &sink)
 {
     util::require(open_, "fcc session: no archive open");
-    util::require(datasets_.fidelity != Fidelity::Flow,
-                  "fcc: flow-fidelity archives carry no per-packet "
-                  "data to reconstruct");
-
     FccTraceCompressor codec(cfg_);
 
     StreamStats archiveStats;
     archiveStats.inputBytes = archiveBytes_;
     archiveStats.flows = datasets_.timeSeq.size();
 
-    // Paper §4: reconstructed packets wait in a time-ordered buffer;
-    // everything older than the next not-yet-expanded record's
-    // timestamp is flushed to the output file, so peak memory stays
-    // near the concurrently active flows (plus, for chunked layouts,
-    // one batch of chunks).
-    // Canonical total order: equal-timestamp packets must pop in a
-    // fixed order whatever the chunk batching (i.e. thread count).
-    auto later = [](const trace::PacketRecord &a,
-                    const trace::PacketRecord &b) {
-        return trace::packetCanonicalLess(b, a);
-    };
-    std::priority_queue<trace::PacketRecord,
-                        std::vector<trace::PacketRecord>,
-                        decltype(later)>
-        pendingQ(later);
-
-    std::vector<trace::PacketRecord> flushBatch;
-    auto flushOlderThan = [&](uint64_t limitNs) {
-        flushBatch.clear();
-        while (!pendingQ.empty() &&
-               pendingQ.top().timestampNs < limitNs) {
-            flushBatch.push_back(pendingQ.top());
-            pendingQ.pop();
-        }
-        if (flushBatch.empty())
-            return;
-        sink.write(std::span<const trace::PacketRecord>(flushBatch));
-        archiveStats.packets += flushBatch.size();
-    };
-
-    if (!datasets_.chunkSizes.empty()) {
-        // Chunked layout: expand a batch of chunks concurrently
-        // (per-chunk RNG streams), then flush everything older than
-        // the next unexpanded chunk's first record — records are
-        // globally time-sorted across chunks, so no later chunk can
-        // produce an older packet.
-        size_t chunks = datasets_.chunkSizes.size();
-        std::vector<size_t> offset(chunks + 1, 0);
-        for (size_t c = 0; c < chunks; ++c)
-            offset[c + 1] = offset[c] + datasets_.chunkSizes[c];
-        util::require(offset[chunks] == datasets_.timeSeq.size(),
-                      "fcc: chunk sizes disagree with time-seq");
-
-        unsigned threads = cfg_.threads != 0
-            ? cfg_.threads
-            : util::ThreadPool::hardwareThreads();
-        std::unique_ptr<util::ThreadPool> pool;
-        if (threads > 1 && chunks > 1)
-            pool = std::make_unique<util::ThreadPool>(threads);
-        size_t batchChunks =
-            std::max<size_t>(1, size_t{threads} * 2);
-
-        std::vector<std::vector<trace::PacketRecord>> perChunk;
-        for (size_t base = 0; base < chunks; base += batchChunks) {
-            size_t end = std::min(chunks, base + batchChunks);
-            perChunk.assign(end - base, {});
-            auto expandOne = [&](size_t i) {
-                codec.expandChunk(datasets_, base + i, perChunk[i]);
-            };
-            if (pool)
-                pool->parallelFor(end - base, expandOne);
-            else
-                for (size_t i = 0; i < end - base; ++i)
-                    expandOne(i);
-            for (const auto &chunkPackets : perChunk)
-                for (const auto &pkt : chunkPackets)
-                    pendingQ.push(pkt);
-            uint64_t limitNs = end < chunks
-                ? datasets_.timeSeq[offset[end]].firstTimestampUs *
-                      1000
-                : ~0ull;
-            flushOlderThan(limitNs);
-        }
-    } else {
-        // Legacy FCC1 (or unchunked FCC3): single sequential RNG
-        // stream over all records.
-        util::Rng rng(cfg_.decompressSeed);
-        std::vector<trace::PacketRecord> flowPackets;
-        for (const auto &rec : datasets_.timeSeq) {
-            flushOlderThan(rec.firstTimestampUs * 1000);
-            flowPackets.clear();
-            codec.expandFlow(datasets_, rec, rng, flowPackets);
-            for (const auto &pkt : flowPackets)
-                pendingQ.push(pkt);
-        }
-        flushOlderThan(~0ull);
-    }
+    // Paper §4: reconstructed packets wait for the flush, which
+    // writes everything older than the next not-yet-expanded record;
+    // peak memory stays near the concurrently active flows plus one
+    // batch of expanded records.
+    codec.expandInOrder(
+        datasets_,
+        [&](std::span<const trace::PacketRecord> batch) {
+            sink.write(batch);
+            archiveStats.packets += batch.size();
+        });
     sink.close();
     archiveStats.outputBytes = sink.bytesWritten();
 

@@ -13,17 +13,18 @@
  * worth of state at a time — memory is bounded by open flows plus
  * the template/time-seq datasets, not by the packet count).
  *
- * Decompression of an unchunked file (FCC1, or FCC3 written with
- * chunkRecords == 0) implements the paper's §4 algorithm literally:
- * a time-ordered buffer ("linked list" in the paper) of
- * reconstructed packets is flushed to the output file whenever
- * packets are older than the next time-seq record's timestamp, so
- * output is produced as the compressed stream is scanned rather
- * than after a global sort. A chunked file (FCC2/FCC3) instead
- * expands its chunks concurrently (FccConfig::threads workers, one
- * RNG stream per chunk) between bounded-memory flushes and writes
- * the merged result. FCC3 additionally decodes its columns on the
- * pool before expansion begins.
+ * Decompression implements the paper's §4 algorithm: reconstructed
+ * packets wait in a time-ordered buffer ("linked list" in the
+ * paper) — here a k-way merge of the flows' packet runs
+ * (trace::RunMerge) — and are flushed to the output file once they
+ * are older than the next unexpanded time-seq record, so output is
+ * produced as the compressed stream is scanned rather than after a
+ * global sort. An unchunked file (FCC1, or FCC3 written with
+ * chunkRecords == 0) expands from one sequential RNG stream; a
+ * chunked file (FCC2/FCC3) expands batches of chunks concurrently
+ * (FccConfig::threads workers, one RNG stream per chunk) between
+ * flushes. FCC3 additionally decodes its columns on the pool before
+ * expansion begins.
  */
 
 #ifndef FCC_CODEC_FCC_STREAM_HPP

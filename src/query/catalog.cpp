@@ -9,9 +9,9 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <queue>
 
 #include "archive/catalog_file.hpp"
+#include "trace/run_merge.hpp"
 #include "trace/trace.hpp"
 #include "util/error.hpp"
 
@@ -107,48 +107,26 @@ prunable(const FccArchive &archive, const Expr &expr)
     return archive.plan(expr).empty();
 }
 
-/** K-way merge of per-archive canonical-sorted runs into @p sink. */
+/**
+ * Merge the per-archive canonical-sorted results into @p sink; ties
+ * between bit-identical packets of two archives go by archive order.
+ */
 void
 mergeRuns(std::vector<std::vector<trace::PacketRecord>> &runs,
           trace::TraceSink &sink, CatalogQueryStats &stats)
 {
     size_t total = 0;
-    for (const auto &run : runs)
+    trace::RunMerge merge;
+    for (auto &run : runs) {
         total += run.size();
+        trace::RunBound whole{run.size(), 0};
+        merge.add(std::move(run), {&whole, 1});
+    }
     stats.packetsMatched = total;
 
     std::vector<trace::PacketRecord> merged;
     merged.reserve(total);
-
-    // Heap of (run, cursor); ties broken by run id so the merge is
-    // deterministic even for bit-identical packets in two archives.
-    struct Cursor
-    {
-        size_t run;
-        size_t idx;
-    };
-    auto greater = [&runs](const Cursor &a, const Cursor &b) {
-        const trace::PacketRecord &pa = runs[a.run][a.idx];
-        const trace::PacketRecord &pb = runs[b.run][b.idx];
-        if (trace::packetCanonicalLess(pa, pb))
-            return false;
-        if (trace::packetCanonicalLess(pb, pa))
-            return true;
-        return a.run > b.run;
-    };
-    std::priority_queue<Cursor, std::vector<Cursor>,
-                        decltype(greater)>
-        heap(greater);
-    for (size_t r = 0; r < runs.size(); ++r)
-        if (!runs[r].empty())
-            heap.push({r, 0});
-    while (!heap.empty()) {
-        Cursor c = heap.top();
-        heap.pop();
-        merged.push_back(runs[c.run][c.idx]);
-        if (c.idx + 1 < runs[c.run].size())
-            heap.push({c.run, c.idx + 1});
-    }
+    merge.drainBefore(~0ull, merged);
     trace::Trace out(std::move(merged));
     trace::writeAllPackets(sink, out);
 }

@@ -9,11 +9,11 @@
 
 #include "query/query.hpp"
 
-#include <algorithm>
 #include <array>
 #include <new>
 
 #include "codec/fcc/datasets.hpp"
+#include "trace/run_merge.hpp"
 #include "trace/trace.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
@@ -28,11 +28,14 @@ namespace {
 
 constexpr uint32_t magicFcc3 = 0x33434346u;  // "FCC3"
 
-/** Matching packets + flow count of one expanded record range. */
+/**
+ * Matching packets of one expanded record range: one run per
+ * matched flow, in record order.
+ */
 struct ChunkResult
 {
     std::vector<trace::PacketRecord> packets;
-    uint64_t flows = 0;
+    std::vector<trace::RunBound> runs;
 };
 
 /**
@@ -53,22 +56,24 @@ expandFiltered(const fccc::FccTraceCompressor &codec,
     std::vector<trace::PacketRecord> flowBuf;
     for (const fccc::TimeSeqRecord &rec : records) {
         flowBuf.clear();
-        codec.expandFlow(shared, rec, rng, flowBuf);
+        trace::RunBound run =
+            codec.expandFlow(shared, rec, rng, flowBuf);
         Expr::FlowView flow{shared.addresses[rec.addressIndex],
                             serverPort, flowBuf.size()};
         Expr::FlowMatch verdict = expr.matchesFlow(flow);
         if (verdict == Expr::FlowMatch::Never)
             continue;
-        size_t emitted = 0;
+        size_t begin = out.packets.size();
         for (const trace::PacketRecord &pkt : flowBuf) {
             if (verdict == Expr::FlowMatch::PerPacket &&
                 !expr.matches(flow, pkt.timestampUs()))
                 continue;
             out.packets.push_back(pkt);
-            ++emitted;
         }
-        if (emitted > 0)
-            ++out.flows;
+        // The flow's floor still bounds whatever survived the filter.
+        run.end = out.packets.size();
+        if (run.end > begin)
+            out.runs.push_back(run);
     }
 }
 
@@ -93,25 +98,25 @@ runChunkJobs(uint32_t threadsCfg, size_t count,
     }
 }
 
-/** Merge per-chunk results, sort by time, and emit through @p sink. */
+/**
+ * Merge per-chunk results (in chunk order) into the canonical order
+ * the streaming decompressor's flush emits, and write them to
+ * @p sink.
+ */
 void
 emitResults(std::vector<ChunkResult> &results,
             trace::TraceSink &sink, QueryStats &stats)
 {
     size_t total = 0;
-    for (const ChunkResult &r : results)
+    trace::RunMerge merge;
+    for (ChunkResult &r : results) {
+        stats.flowsMatched += r.runs.size();
         total += r.packets.size();
+        merge.add(std::move(r.packets), r.runs);
+    }
     std::vector<trace::PacketRecord> merged;
     merged.reserve(total);
-    for (ChunkResult &r : results) {
-        stats.flowsMatched += r.flows;
-        merged.insert(merged.end(), r.packets.begin(),
-                      r.packets.end());
-    }
-    // Canonical total order, matching the streaming decompressor's
-    // flush: ties must not depend on chunk order or thread count.
-    std::sort(merged.begin(), merged.end(),
-              trace::packetCanonicalLess);
+    merge.drainBefore(~0ull, merged);
     trace::Trace out(std::move(merged));
     stats.packetsMatched = out.size();
     trace::writeAllPackets(sink, out);

@@ -82,12 +82,11 @@ struct PacketRecord
 
 /**
  * Field-wise total order on packets, extending timestamp order with
- * every header field as tie-breaker. Reconstruction paths that merge
- * concurrently produced packets (codec/fcc streaming flush, the
- * query subsystem's chunk merge) sort with this instead of a bare
- * timestamp comparison: equal-timestamp packets would otherwise be
- * emitted in an order that depends on batch boundaries — i.e. on the
- * thread count — breaking byte-exact reproducibility.
+ * every header field as tie-breaker. Reconstruction paths merge
+ * concurrently produced packets in this order (trace::RunMerge)
+ * instead of by bare timestamp: equal-timestamp packets would
+ * otherwise be emitted in an order that depends on batch boundaries
+ * — i.e. on the thread count — breaking byte-exact reproducibility.
  */
 bool packetCanonicalLess(const PacketRecord &a,
                          const PacketRecord &b);

@@ -143,6 +143,8 @@ writeTshFile(const Trace &trace, const std::string &path)
     FilePtr f(std::fopen(path.c_str(), "wb"));
     util::require(f != nullptr, "writeTshFile: cannot open output file");
     auto bytes = writeTsh(trace);
+    if (bytes.empty())
+        return;  // an empty vector's data() may be null
     size_t n = std::fwrite(bytes.data(), 1, bytes.size(), f.get());
     util::require(n == bytes.size(), "writeTshFile: short write");
 }

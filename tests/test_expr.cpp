@@ -314,10 +314,11 @@ TEST(ExprEval, FlowMatchShortcutAgreesWithFullEval)
         uint64_t us = rng.uniformInt(0, 60'000'000);
         query::Expr::FlowMatch verdict = expr.matchesFlow(flow);
         bool full = expr.matches(flow, us);
-        if (verdict == query::Expr::FlowMatch::Always)
+        if (verdict == query::Expr::FlowMatch::Always) {
             EXPECT_TRUE(full) << expr.str();
-        else if (verdict == query::Expr::FlowMatch::Never)
+        } else if (verdict == query::Expr::FlowMatch::Never) {
             EXPECT_FALSE(full) << expr.str();
+        }
         // PerPacket: either answer is consistent by definition.
     }
 }

@@ -520,8 +520,9 @@ TEST(ScenarioFuzz, ParameterEdgesRoundTrip)
                 trace::ScenarioGenerator gen(edges[e]);
                 trace::Trace t = gen.generate();
                 EXPECT_TRUE(t.isTimeOrdered());
-                if (edges[e].flows == 0)
+                if (edges[e].flows == 0) {
                     EXPECT_EQ(t.size(), 0u);
+                }
 
                 std::string tshIn = tempPath("fuzz_in.tsh");
                 trace::writeTshFile(t, tshIn);

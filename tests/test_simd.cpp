@@ -65,12 +65,13 @@ decodeOutcome(const std::vector<uint8_t> &data, size_t count,
         size_t used = util::varintDecodeBatch(data.data(),
                                               data.size(),
                                               out.data(), count, d);
-        std::string s = "ok:" + std::to_string(used);
+        std::string s = "ok:";
+        s.append(std::to_string(used));
         for (uint64_t v : out)
-            s += "," + std::to_string(v);
+            s.append(",").append(std::to_string(v));
         return s;
     } catch (const util::Error &e) {
-        return std::string("error:") + e.what();
+        return std::string("error:").append(e.what());
     }
 }
 
