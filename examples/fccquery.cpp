@@ -11,9 +11,8 @@
  *                        `server in 10.0.0.0/8 and time within
  *                        [0, 60] and not port = 443`
  *   --flow/--time/--min-packets
- *                        the legacy AND-only predicates; they lower
- *                        onto the same expression engine and keep
- *                        their exact semantics
+ *                        shorthand flags, each one expression leaf,
+ *                        ANDed together
  *
  * Aggregates (--agg) answer from the chunk index and the selected
  * columns without reconstructing packets at all.
@@ -29,6 +28,7 @@
  * original chunk index. See docs/QUERY.md.
  */
 
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -70,7 +70,8 @@ int
 main(int argc, char **argv)
 {
     codec::fcc::FccConfig cfg;
-    query::Predicate pred;
+    // The shorthand flags' leaves: server, time window, flow size.
+    std::array<std::optional<query::Expr>, 3> leaves;
     std::optional<std::string> exprText;
     std::optional<query::AggregateKind> aggKind;
     uint32_t topK = 10;
@@ -80,32 +81,33 @@ main(int argc, char **argv)
 
     cli::FlagSet flags(
         "[options] <in.fcc> [<out>]",
-        "Extract flows/packets from an FCC archive by predicate or\n"
-        "expression, or answer an aggregate from the index without\n"
+        "Extract flows/packets from an FCC archive by expression,\n"
+        "or answer an aggregate from the index without\n"
         "reconstructing packets.");
     flags.add("--expr", "'E'",
               "composed query expression (docs/QUERY.md),\n"
               "e.g. 'server in 10.0.0.0/8 and time within\n"
-              "[0, 60]'; exclusive with the legacy\n"
-              "predicate flags below",
+              "[0, 60]'; exclusive with the shorthand\n"
+              "flags below",
               [&](const char *v) { exprText = v; });
     flags.add("--flow", "A.B.C.D",
               "flows with this server (destination)\n"
               "address — the 5-tuple component the lossy\n"
               "codec preserves",
               [&](const char *v) {
-                  pred.serverIp = trace::parseIp(v);
+                  leaves[0] = query::Expr::serverIs(trace::parseIp(v));
               });
     flags.add("--time", "T0:T1",
               "packets between T0 and T1 seconds\n"
               "(absolute trace time, floats)",
               [&](const char *v) {
-                  pred.timeUs = parseTimeWindow(v);
+                  auto [t0, t1] = parseTimeWindow(v);
+                  leaves[1] = query::Expr::timeWithin(t0, t1);
               });
     flags.add("--min-packets", "N",
               "flows of at least N packets",
               [&](const char *v) {
-                  pred.minFlowPackets = static_cast<uint32_t>(
+                  leaves[2] = query::Expr::minFlowPackets(
                       cli::parseUnsigned("--min-packets", v, 1,
                                          UINT32_MAX));
               });
@@ -151,7 +153,17 @@ main(int argc, char **argv)
         flags.printHelp(argv[0], stderr);
         return 2;
     }
-    if (exprText.has_value() && !pred.matchAll()) {
+    query::Expr expr = query::Expr::matchAll();
+    bool shorthand = false;
+    for (std::optional<query::Expr> &leaf : leaves) {
+        if (!leaf)
+            continue;
+        expr = shorthand ? query::Expr::andOf(std::move(expr),
+                                              std::move(*leaf))
+                         : std::move(*leaf);
+        shorthand = true;
+    }
+    if (exprText.has_value() && shorthand) {
         std::fprintf(stderr,
                      "error: --expr is exclusive with "
                      "--flow/--time/--min-packets\n");
@@ -162,9 +174,8 @@ main(int argc, char **argv)
     try {
         // The same single config check every entry point runs.
         cfg.validate();
-        query::Expr expr = exprText.has_value()
-                               ? query::parseExpr(*exprText)
-                               : pred.toExpr();
+        if (exprText.has_value())
+            expr = query::parseExpr(*exprText);
 
         query::FccArchive archive(inPath, cfg);
         if (archive.indexCorrupt())

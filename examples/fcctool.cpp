@@ -302,7 +302,7 @@ main(int argc, char **argv)
     flags.add("--threshold", "PCT",
               "similarity threshold of eq. 4 (default 2.0)",
               [&](const char *v) {
-                  cfg.rule.percent = std::atof(v);
+                  cfg.rule.percent = cli::parseNumber("--threshold", v);
               });
     flags.add("--cutoff", "N",
               "short/long flow split in packets (default 50)",

@@ -435,17 +435,69 @@ runDecodeJobs(size_t count, util::ThreadPool *pool,
               const std::function<void(size_t)> &decodeOne)
 {
     try {
-        if (pool != nullptr && count > 1)
-            pool->parallelFor(count, decodeOne);
-        else
-            for (size_t i = 0; i < count; ++i)
-                decodeOne(i);
+        util::parallelFor(pool, count, decodeOne);
     } catch (const std::bad_alloc &) {
         throw util::Error("fcc3: column sizes exhaust memory");
     }
 }
 
+/** @p v as 32 bits. @throws fcc::util::Error naming @p what. */
+uint32_t
+take32(uint64_t v, const char *what)
+{
+    util::require(v <= 0xffffffffu, what);
+    return static_cast<uint32_t>(v);
+}
+
 } // namespace
+
+std::vector<TimeSeqRecord>
+assembleTimeSeqColumns(const Datasets &d,
+                       std::span<const std::vector<uint64_t>, 5> columns)
+{
+    const std::vector<uint64_t> &time = columns[0];
+    const std::vector<uint64_t> &isLong = columns[1];
+    const std::vector<uint64_t> &tmpl = columns[2];
+    const std::vector<uint64_t> &rtt = columns[3];
+    const std::vector<uint64_t> &addr = columns[4];
+    size_t flows = time.size();
+    util::require(isLong.size() == flows && tmpl.size() == flows &&
+                      addr.size() == flows,
+                  "fcc3: time-seq column length mismatch");
+    std::vector<TimeSeqRecord> records;
+    size_t rttCursor = 0;
+    uint64_t prevUs = 0;
+    records.reserve(flows);
+    for (size_t i = 0; i < flows; ++i) {
+        TimeSeqRecord rec;
+        rec.firstTimestampUs = time[i];
+        util::require(rec.firstTimestampUs >= prevUs,
+                      "fcc: time-seq records not sorted");
+        prevUs = rec.firstTimestampUs;
+        util::require(isLong[i] <= 1, "fcc: bad dataset identifier");
+        rec.isLong = isLong[i] == 1;
+        rec.templateIndex =
+            take32(tmpl[i], "fcc3: template index exceeds 32 bits");
+        size_t limit = rec.isLong ? d.longTemplates.size()
+                                  : d.shortTemplates.size();
+        util::require(rec.templateIndex < limit,
+                      "fcc: template index out of range");
+        if (!rec.isLong) {
+            util::require(rttCursor < rtt.size(),
+                          "fcc3: ts_rtt column too short");
+            rec.rttUs =
+                take32(rtt[rttCursor++], "fcc3: RTT exceeds 32 bits");
+        }
+        rec.addressIndex =
+            take32(addr[i], "fcc3: address index exceeds 32 bits");
+        util::require(rec.addressIndex < d.addresses.size(),
+                      "fcc: address index out of range");
+        records.push_back(rec);
+    }
+    util::require(rttCursor == rtt.size(),
+                  "fcc3: ts_rtt column too long");
+    return records;
+}
 
 Datasets
 assembleFcc3Columns(const flow::Weights &weights,
@@ -453,10 +505,6 @@ assembleFcc3Columns(const flow::Weights &weights,
 {
     Datasets d;
     d.weights = weights;
-    auto take32 = [](uint64_t v, const char *what) {
-        util::require(v <= 0xffffffffu, what);
-        return static_cast<uint32_t>(v);
-    };
 
     size_t cursor = 0;
     d.shortTemplates.reserve(values[ColShortLen].size());
@@ -505,46 +553,9 @@ assembleFcc3Columns(const flow::Weights &weights,
         d.addresses.push_back(
             take32(addr, "fcc3: address exceeds 32 bits"));
 
-    size_t flows = values[ColTsTime].size();
-    util::require(values[ColTsIsLong].size() == flows &&
-                      values[ColTsTemplate].size() == flows &&
-                      values[ColTsAddr].size() == flows,
-                  "fcc3: time-seq column length mismatch");
-    size_t rttCursor = 0;
-    uint64_t prevUs = 0;
-    d.timeSeq.reserve(flows);
-    for (size_t i = 0; i < flows; ++i) {
-        TimeSeqRecord rec;
-        rec.firstTimestampUs = values[ColTsTime][i];
-        util::require(rec.firstTimestampUs >= prevUs,
-                      "fcc: time-seq records not sorted");
-        prevUs = rec.firstTimestampUs;
-        uint64_t id = values[ColTsIsLong][i];
-        util::require(id <= 1, "fcc: bad dataset identifier");
-        rec.isLong = id == 1;
-        rec.templateIndex = take32(
-            values[ColTsTemplate][i],
-            "fcc3: template index exceeds 32 bits");
-        size_t limit = rec.isLong ? d.longTemplates.size()
-                                  : d.shortTemplates.size();
-        util::require(rec.templateIndex < limit,
-                      "fcc: template index out of range");
-        if (!rec.isLong) {
-            util::require(rttCursor < values[ColTsRtt].size(),
-                          "fcc3: ts_rtt column too short");
-            rec.rttUs =
-                take32(values[ColTsRtt][rttCursor++],
-                       "fcc3: RTT exceeds 32 bits");
-        }
-        rec.addressIndex = take32(
-            values[ColTsAddr][i],
-            "fcc3: address index exceeds 32 bits");
-        util::require(rec.addressIndex < d.addresses.size(),
-                      "fcc: address index out of range");
-        d.timeSeq.push_back(rec);
-    }
-    util::require(rttCursor == values[ColTsRtt].size(),
-                  "fcc3: ts_rtt column too long");
+    d.timeSeq = assembleTimeSeqColumns(
+        d, std::span<const std::vector<uint64_t>, 5>(
+               values.data() + ColTsTime, 5));
 
     if (!values[ColChunkLen].empty()) {
         uint64_t total = 0;
@@ -569,10 +580,6 @@ assembleFlowColumns(const flow::Weights &weights,
     Datasets d;
     d.weights = weights;
     d.fidelity = Fidelity::Flow;
-    auto take32 = [](uint64_t v, const char *what) {
-        util::require(v <= 0xffffffffu, what);
-        return static_cast<uint32_t>(v);
-    };
 
     for (size_t c = ColShortLen; c <= ColLongIpt; ++c)
         util::require(values[c].empty(),
@@ -626,6 +633,42 @@ assembleFlowColumns(const flow::Weights &weights,
     return d;
 }
 
+Fcc3Header
+readFcc3Header(util::ByteReader &r)
+{
+    Fcc3Header h;
+    util::require(r.u32() == magicV3, "fcc: bad magic");
+    h.weights.w1 = r.u16();
+    h.weights.w2 = r.u16();
+    h.weights.w3 = r.u16();
+    util::require(h.weights.decodable(),
+                  "fcc: stored weights are not decodable");
+    uint8_t colByte = r.u8();
+    util::require(
+        (colByte & ~(indexedLayoutFlag | fidelityProfileFlag)) ==
+            columnCount,
+        "fcc3: unexpected column count");
+    h.indexed = (colByte & indexedLayoutFlag) != 0;
+    if ((colByte & fidelityProfileFlag) != 0) {
+        // Lossy profile header: tag byte + parameter varint. Exact
+        // files never carry the flag, so they stay byte-identical to
+        // pre-fidelity writers.
+        uint8_t tag = r.u8();
+        util::require(tag >= static_cast<uint8_t>(Fidelity::Quantized) &&
+                          tag <= static_cast<uint8_t>(Fidelity::Flow),
+                      "fcc3: unknown fidelity tag");
+        h.fidelity = static_cast<Fidelity>(tag);
+        h.quantumUs = r.varint();
+        if (h.fidelity == Fidelity::Quantized)
+            util::require(h.quantumUs >= 1,
+                          "fcc3: quantized grid must be >= 1 us");
+        else
+            util::require(h.quantumUs == 0,
+                          "fcc3: unexpected fidelity parameter");
+    }
+    return h;
+}
+
 namespace {
 
 /**
@@ -667,46 +710,11 @@ Datasets
 deserializeColumnar(std::span<const uint8_t> data,
                     util::ThreadPool *pool, ContainerStat *stat)
 {
-    flow::Weights weights;
-    uint8_t colByte;
-    size_t headerBytes;
-    Fidelity fidelity = Fidelity::Exact;
-    uint64_t quantumUs = 0;
-    {
-        util::ByteReader h(data);
-        h.u32();  // magic, validated by the caller
-        weights.w1 = h.u16();
-        weights.w2 = h.u16();
-        weights.w3 = h.u16();
-        util::require(weights.decodable(),
-                      "fcc: stored weights are not decodable");
-        colByte = h.u8();
-        if ((colByte & fidelityProfileFlag) != 0) {
-            // Lossy profile header: tag byte + parameter varint.
-            // Exact files never carry the flag, so they stay
-            // byte-identical to pre-fidelity writers.
-            uint8_t tag = h.u8();
-            util::require(
-                tag >= static_cast<uint8_t>(Fidelity::Quantized) &&
-                    tag <= static_cast<uint8_t>(Fidelity::Flow),
-                "fcc3: unknown fidelity tag");
-            fidelity = static_cast<Fidelity>(tag);
-            quantumUs = h.varint();
-            if (fidelity == Fidelity::Quantized)
-                util::require(quantumUs >= 1,
-                              "fcc3: quantized grid must be >= 1 us");
-            else
-                util::require(quantumUs == 0,
-                              "fcc3: unexpected fidelity parameter");
-        }
-        headerBytes = h.position();
-    }
-    bool indexed = (colByte & indexedLayoutFlag) != 0;
-    util::require(
-        (colByte & ~(indexedLayoutFlag | fidelityProfileFlag)) ==
-            columnCount,
-        "fcc3: unexpected column count");
-    bool flowProfile = fidelity == Fidelity::Flow;
+    util::ByteReader h(data);
+    Fcc3Header header = readFcc3Header(h);
+    size_t headerBytes = h.position();
+    bool indexed = header.indexed;
+    bool flowProfile = header.fidelity == Fidelity::Flow;
 
     // An indexed layout ends with the index block; the column frames
     // occupy exactly the region before it.
@@ -824,23 +832,24 @@ deserializeColumnar(std::span<const uint8_t> data,
         }
     }
 
-    Datasets d = flowProfile ? assembleFlowColumns(weights, values)
-                             : assembleFcc3Columns(weights, values);
-    d.fidelity = fidelity;
-    d.quantumUs = quantumUs;
-    if (fidelity == Fidelity::Quantized) {
+    Datasets d = flowProfile
+        ? assembleFlowColumns(header.weights, values)
+        : assembleFcc3Columns(header.weights, values);
+    d.fidelity = header.fidelity;
+    d.quantumUs = header.quantumUs;
+    if (d.fidelity == Fidelity::Quantized) {
         // Stored timestamps must sit on the advertised grid — a
         // value off the grid means the container lies about its own
         // quantization and downstream error bounds would be wrong.
         std::vector<uint64_t> times(d.timeSeq.size());
         for (size_t i = 0; i < d.timeSeq.size(); ++i)
             times[i] = d.timeSeq[i].firstTimestampUs;
-        util::require(field::isOnGrid(times, quantumUs),
+        util::require(field::isOnGrid(times, d.quantumUs),
                       "fcc3: timestamp off the quantized grid");
     }
     if (stat != nullptr) {
-        stat->fidelity = fidelity;
-        stat->quantumUs = quantumUs;
+        stat->fidelity = d.fidelity;
+        stat->quantumUs = d.quantumUs;
         stat->version = 3;
         stat->sizes = SizeBreakdown{};
         stat->sizes.headerBytes = headerBytes;
@@ -934,17 +943,6 @@ serializeColumnar(const Datasets &datasets, uint32_t recordsPerChunk,
     if (columns != nullptr)
         columns->clear();
 
-    auto runEncodeJobs = [&](size_t count,
-                             const std::function<void(size_t)> &job) {
-        // Results land in fixed slots, so the output is
-        // byte-identical at any thread count.
-        if (pool != nullptr && count > 1)
-            pool->parallelFor(count, job);
-        else
-            for (size_t c = 0; c < count; ++c)
-                job(c);
-    };
-
     auto writeHeader = [&](util::ByteWriter &w, uint8_t colByte) {
         w.u32(magicV3);
         w.u16(datasets.weights.w1);
@@ -967,7 +965,7 @@ serializeColumnar(const Datasets &datasets, uint32_t recordsPerChunk,
     if (index == nullptr) {
         // ---- plain layout: twelve global column frames ----
         std::array<EncodedColumn, columnCount> encoded;
-        runEncodeJobs(columnCount, [&](size_t c) {
+        util::parallelFor(pool, columnCount, [&](size_t c) {
             encoded[c] = encodeOneColumn(values[c], backend);
         });
 
@@ -1024,7 +1022,7 @@ serializeColumnar(const Datasets &datasets, uint32_t recordsPerChunk,
         return std::span<const uint64_t>(col).subspan(
             recOff[c], recOff[c + 1] - recOff[c]);
     };
-    runEncodeJobs(ColAddr + 2 + chunks * 5, [&](size_t i) {
+    util::parallelFor(pool, ColAddr + 2 + chunks * 5, [&](size_t i) {
         if (i <= ColAddr)
             sharedEnc[i] = encodeOneColumn(values[i], backend);
         else if (i == ColAddr + 1)

@@ -281,6 +281,17 @@ using Fcc3Columns =
     std::array<std::vector<uint64_t>, fcc3ColumnCount>;
 
 /**
+ * Build the time-seq records of the five ts_* columns (ts_time,
+ * ts_is_long, ts_template, ts_rtt, ts_addr: Fcc3ColumnId order),
+ * validated against @p d's templates and addresses. The whole-file
+ * assembly and the indexed query (one chunk's frames) share it.
+ * @throws fcc::util::Error on any inconsistency.
+ */
+std::vector<TimeSeqRecord> assembleTimeSeqColumns(
+    const Datasets &d,
+    std::span<const std::vector<uint64_t>, 5> columns);
+
+/**
  * Reassemble and validate Datasets from decoded FCC3 columns (the
  * inverse of the columnar decomposition); @p weights must already
  * be validated decodable. @throws fcc::util::Error on any
@@ -300,6 +311,22 @@ Datasets assembleFcc3Columns(const flow::Weights &weights,
  */
 Datasets assembleFlowColumns(const flow::Weights &weights,
                              Fcc3Columns &columns);
+
+/** The FCC3 header: weights, layout and fidelity profile. */
+struct Fcc3Header
+{
+    flow::Weights weights;
+    bool indexed = false;                 ///< indexedLayoutFlag set
+    Fidelity fidelity = Fidelity::Exact;
+    uint64_t quantumUs = 0;               ///< the quantized tier's grid
+};
+
+/**
+ * Parse and validate an FCC3 header, magic included, from @p r.
+ * @throws fcc::util::Error on a bad magic or weights, a wrong column
+ *         count or an unknown fidelity profile.
+ */
+Fcc3Header readFcc3Header(util::ByteReader &r);
 
 /** One parsed (not yet decoded) FCC3 column frame. */
 struct ColumnFrame

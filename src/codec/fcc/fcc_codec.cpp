@@ -36,14 +36,6 @@ namespace fcc::codec::fcc {
 
 namespace {
 
-/** cfg.threads semantics: 0 = whatever the hardware offers. */
-unsigned
-resolveThreads(uint32_t requested)
-{
-    return requested != 0 ? requested
-                          : util::ThreadPool::hardwareThreads();
-}
-
 /**
  * RTT estimate of a short flow: the gap at the first direction
  * change (e.g. SYN -> SYN+ACK), the paper's acknowledgment
@@ -74,6 +66,23 @@ drawClassBOrC(util::Rng &rng)
                static_cast<uint32_t>(rng.uniformInt(0, 0x3fffffff));
     return 0xc0000000u |
            static_cast<uint32_t>(rng.uniformInt(0, 0x1fffffff));
+}
+
+/** codec.expandFlow(), then the scope's filter when set. */
+trace::RunBound
+expandScoped(const FccTraceCompressor &codec, const Datasets &d,
+             const TimeSeqRecord &rec, util::Rng &rng,
+             const ExpandScope &scope,
+             std::vector<trace::PacketRecord> &out)
+{
+    size_t begin = out.size();
+    trace::RunBound run = codec.expandFlow(d, rec, rng, out);
+    if (scope.filter) {
+        out.resize(begin + scope.filter(rec, {out.data() + begin,
+                                              run.end - begin}));
+        run.end = out.size();
+    }
+    return run;
 }
 
 } // namespace
@@ -133,9 +142,21 @@ FccConfig::validate() const
                   "layout (chunkRecords > 0)");
     util::require(weights.decodable(),
                   "fcc: weights are not uniquely decodable");
+    util::require(flow::Characterizer(weights).maxValue() <= 0xff,
+                  "fcc: weights produce S values above one byte");
+    // The negated form also refuses NaN.
+    util::require(rule.percent >= 0 && rule.percent <= 100,
+                  "fcc: similarity threshold must be a percentage "
+                  "in [0, 100]");
+    util::require(shortLimit >= 1,
+                  "fcc: short/long split must be >= 1 packet");
     util::require(flowTable.shards > 0,
                   "fcc: the sharded pipeline needs at least one "
                   "shard");
+    // 0 means auto; anything explicit must be sane (catches signed
+    // garbage like --threads -1 wrapped through uint32_t).
+    util::require(threads <= 1024,
+                  "fcc: thread count out of range (max 1024)");
     switch (fidelity) {
       case Fidelity::Exact:
       case Fidelity::Quantized:
@@ -171,10 +192,8 @@ serializeDatasets(const Datasets &datasets, const FccConfig &cfg,
                                  breakdown);
         break;
       case ContainerFormat::Fcc3: {
-        unsigned threads = resolveThreads(cfg.threads);
-        std::unique_ptr<util::ThreadPool> pool;
-        if (threads > 1)
-            pool = std::make_unique<util::ThreadPool>(threads);
+        std::unique_ptr<util::ThreadPool> pool =
+            util::makePool(cfg.threads);
         IndexOptions indexOptions;
         indexOptions.gapUs = cfg.defaultGapUs;
         // Degrade to the configured tier just before serialization,
@@ -222,28 +241,17 @@ deserializeAuto(std::span<const uint8_t> data, uint32_t threads,
     // pool is scoped here so it is gone before any expansion pool
     // spins up.
     std::unique_ptr<util::ThreadPool> pool;
-    unsigned workers = resolveThreads(threads);
-    if (workers > 1 && data.size() >= 4 && data[3] == '3')
-        pool = std::make_unique<util::ThreadPool>(workers);
+    if (data.size() >= 4 && data[3] == '3')
+        pool = util::makePool(threads);
     return deserialize(data, pool.get(), stat);
 }
 
 FccTraceCompressor::FccTraceCompressor(const FccConfig &cfg)
     : cfg_(cfg)
 {
-    // Validate eagerly: a bad weight vector should fail construction,
-    // not the first compress() call.
-    flow::Characterizer check(cfg_.weights);
-    util::require(check.maxValue() <= 0xff,
-                  "fcc: weights produce S values above one byte");
-    util::require(cfg_.shortLimit >= 1,
-                  "fcc: short/long split must be >= 1 packet");
-    util::require(cfg_.flowTable.shards >= 1,
-                  "fcc: shard count must be >= 1");
-    // 0 means auto; anything explicit must be sane (catches signed
-    // garbage like --threads -1 wrapped through uint32_t).
-    util::require(cfg_.threads <= 1024,
-                  "fcc: thread count out of range (max 1024)");
+    // Validate eagerly: a bad config should fail construction, not
+    // the first compress() call.
+    cfg_.validate();
 }
 
 Datasets
@@ -254,10 +262,8 @@ FccTraceCompressor::buildDatasets(const trace::Trace &trace,
                   "fcc: input trace must be time-ordered");
     stats = FccCompressStats{};
 
-    unsigned threads = resolveThreads(cfg_.threads);
-    std::unique_ptr<util::ThreadPool> pool;
-    if (threads > 1)
-        pool = std::make_unique<util::ThreadPool>(threads);
+    std::unique_ptr<util::ThreadPool> pool =
+        util::makePool(cfg_.threads);
 
     flow::FlowTable table(cfg_.flowTable);
     auto shardFlows = table.assembleSharded(trace, pool.get());
@@ -319,11 +325,7 @@ FccTraceCompressor::buildDatasets(const trace::Trace &trace,
         }
         out.shortTemplates = store.all();
     };
-    if (pool)
-        pool->parallelFor(shards, processShard);
-    else
-        for (size_t s = 0; s < shards; ++s)
-            processShard(s);
+    util::parallelFor(pool.get(), shards, processShard);
 
     // ---- Deterministic merge (sequential, cheap) ----
     Datasets d;
@@ -430,7 +432,8 @@ void
 FccTraceCompressor::expandInOrder(
     const Datasets &d,
     const std::function<void(std::span<const trace::PacketRecord>)>
-        &emit) const
+        &emit,
+    const ExpandScope &scope) const
 {
     util::require(d.fidelity != Fidelity::Flow,
                   "fcc: flow-fidelity archives carry no per-packet "
@@ -462,8 +465,8 @@ FccTraceCompressor::expandInOrder(
             std::vector<trace::PacketRecord> packets;
             runs.clear();
             for (size_t i = base; i < end; ++i)
-                runs.push_back(
-                    expandFlow(d, d.timeSeq[i], rng, packets));
+                runs.push_back(expandScoped(*this, d, d.timeSeq[i],
+                                            rng, scope, packets));
             merge.add(std::move(packets), runs);
             flushBefore(end);
         }
@@ -477,11 +480,9 @@ FccTraceCompressor::expandInOrder(
     util::require(offset[chunks] == d.timeSeq.size(),
                   "fcc: chunk sizes disagree with time-seq");
 
-    unsigned threads = resolveThreads(cfg_.threads);
-    std::unique_ptr<util::ThreadPool> pool;
-    if (threads > 1 && chunks > 1)
-        pool = std::make_unique<util::ThreadPool>(threads);
-    size_t batchChunks = std::max<size_t>(1, size_t{threads} * 2);
+    std::unique_ptr<util::ThreadPool> pool =
+        util::makePool(cfg_.threads, chunks);
+    size_t batchChunks = size_t{2} * (pool ? pool->size() : 1);
 
     std::vector<std::vector<trace::PacketRecord>> perChunk;
     std::vector<std::vector<trace::RunBound>> perChunkRuns;
@@ -489,14 +490,10 @@ FccTraceCompressor::expandInOrder(
         size_t end = std::min(chunks, base + batchChunks);
         perChunk.assign(end - base, {});
         perChunkRuns.assign(end - base, {});
-        auto expandOne = [&](size_t i) {
-            expandChunk(d, base + i, perChunk[i], &perChunkRuns[i]);
-        };
-        if (pool)
-            pool->parallelFor(end - base, expandOne);
-        else
-            for (size_t i = 0; i < end - base; ++i)
-                expandOne(i);
+        util::parallelFor(pool.get(), end - base, [&](size_t i) {
+            expandChunk(d, base + i, perChunk[i], &perChunkRuns[i],
+                        scope);
+        });
         // Drain chunk by chunk: the merge then works on one chunk
         // plus the open flows' tails, and frees each chunk early.
         for (size_t i = 0; i < end - base; ++i) {
@@ -638,7 +635,8 @@ void
 FccTraceCompressor::expandChunk(
     const Datasets &d, size_t chunk,
     std::vector<trace::PacketRecord> &out,
-    std::vector<trace::RunBound> *runs) const
+    std::vector<trace::RunBound> *runs,
+    const ExpandScope &scope) const
 {
     util::require(d.fidelity != Fidelity::Flow,
                   "fcc: flow-fidelity archives carry no per-packet "
@@ -652,12 +650,19 @@ FccTraceCompressor::expandChunk(
     util::require(end <= d.timeSeq.size(),
                   "fcc: chunk sizes disagree with time-seq");
 
-    // One RNG stream per chunk, seeded from (decompressSeed, chunk
-    // index): chunks expand in any order — or in parallel — and
-    // still produce the same packets.
-    util::Rng rng(chunkRngSeed(cfg_.decompressSeed, chunk));
+    util::require(scope.chunkIds.empty() ||
+                      scope.chunkIds.size() == d.chunkSizes.size(),
+                  "fcc: chunk ids disagree with chunk sizes");
+
+    // One RNG stream per chunk, seeded from (decompressSeed, original
+    // chunk index): chunks expand in any order, in parallel or as a
+    // planned subset, and still produce the same packets.
+    util::Rng rng(chunkRngSeed(
+        cfg_.decompressSeed,
+        scope.chunkIds.empty() ? chunk : scope.chunkIds[chunk]));
     for (size_t i = begin; i < end; ++i) {
-        trace::RunBound run = expandFlow(d, d.timeSeq[i], rng, out);
+        trace::RunBound run =
+            expandScoped(*this, d, d.timeSeq[i], rng, scope, out);
         if (runs != nullptr)
             runs->push_back(run);
     }

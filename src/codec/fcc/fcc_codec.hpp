@@ -186,6 +186,27 @@ struct FccCompressStats
     }
 };
 
+/** What a query narrows the §4 flush to; the default keeps all. */
+struct ExpandScope
+{
+    /**
+     * Per-flow filter: sees one expanded flow's record and packets,
+     * moves those it keeps to the front and returns how many. It runs
+     * after the flow expanded, so the RNG streams advance as in a
+     * full decode; the flow's run keeps its floor.
+     */
+    std::function<size_t(const TimeSeqRecord &,
+                         std::span<trace::PacketRecord>)>
+        filter;
+
+    /**
+     * Original chunk id of each Datasets::chunkSizes entry (an
+     * indexed plan's chunks), which seeds its RNG stream; empty
+     * means entry i is chunk i.
+     */
+    std::span<const size_t> chunkIds;
+};
+
 /** The proposed flow-clustering trace compressor. */
 class FccTraceCompressor : public TraceCompressor
 {
@@ -231,12 +252,14 @@ class FccTraceCompressor : public TraceCompressor
      * batch's) first record, so memory holds one batch plus the open
      * flows' pending packets. The packets depend only on the chunk
      * layout — never on the container, the thread count or the
-     * batching.
+     * batching. Queries pass a @p scope: their filter, and the chunk
+     * ids of an indexed plan's chunks.
      */
     void expandInOrder(
         const Datasets &datasets,
         const std::function<void(std::span<const trace::PacketRecord>)>
-            &emit) const;
+            &emit,
+        const ExpandScope &scope = {}) const;
 
     /**
      * Expand one time-seq record into its flow's packets, appended
@@ -258,12 +281,14 @@ class FccTraceCompressor : public TraceCompressor
      * Expand every record of chunk @p chunk (index into
      * Datasets::chunkSizes) into @p out, drawing from the chunk's
      * own RNG stream, and append each flow's run to @p runs when
-     * non-null. Chunks may be expanded in any order or
+     * non-null; @p scope filters and renumbers as in
+     * expandInOrder(). Chunks may be expanded in any order or
      * concurrently.
      */
     void expandChunk(const Datasets &datasets, size_t chunk,
                      std::vector<trace::PacketRecord> &out,
-                     std::vector<trace::RunBound> *runs = nullptr) const;
+                     std::vector<trace::RunBound> *runs = nullptr,
+                     const ExpandScope &scope = {}) const;
 
     const FccConfig &config() const { return cfg_; }
 

@@ -210,15 +210,9 @@ FlowTable::assembleSharded(const trace::Trace &trace,
     auto shardIndices = partition(trace, pool);
 
     std::vector<std::vector<AssembledFlow>> out(shardIndices.size());
-    auto assembleOne = [&](size_t s) {
+    util::parallelFor(pool, shardIndices.size(), [&](size_t s) {
         out[s] = assembleIndices(trace, shardIndices[s]);
-    };
-    if (pool == nullptr || pool->size() <= 1) {
-        for (size_t s = 0; s < shardIndices.size(); ++s)
-            assembleOne(s);
-    } else {
-        pool->parallelFor(shardIndices.size(), assembleOne);
-    }
+    });
     return out;
 }
 

@@ -12,7 +12,6 @@
 
 #include "archive/catalog_file.hpp"
 #include "trace/run_merge.hpp"
-#include "trace/trace.hpp"
 #include "util/error.hpp"
 
 namespace fcc::query {
@@ -115,20 +114,16 @@ void
 mergeRuns(std::vector<std::vector<trace::PacketRecord>> &runs,
           trace::TraceSink &sink, CatalogQueryStats &stats)
 {
-    size_t total = 0;
     trace::RunMerge merge;
     for (auto &run : runs) {
-        total += run.size();
+        stats.packetsMatched += run.size();
         trace::RunBound whole{run.size(), 0};
         merge.add(std::move(run), {&whole, 1});
     }
-    stats.packetsMatched = total;
-
     std::vector<trace::PacketRecord> merged;
-    merged.reserve(total);
+    merged.reserve(stats.packetsMatched);
     merge.drainBefore(~0ull, merged);
-    trace::Trace out(std::move(merged));
-    trace::writeAllPackets(sink, out);
+    sink.write(merged);
 }
 
 } // namespace

@@ -12,10 +12,12 @@
  *     against the per-chunk summaries: Bloom fingerprints rule out
  *     chunks without the queried servers, timestamp bounds rule out
  *     chunks outside the window;
- *  3. execute — decode and expand only the surviving chunks (one
- *     thread-pool job each, every chunk drawing from its own RNG
- *     stream), filter, and emit the time-sorted result through any
- *     TraceSink.
+ *  3. execute — decode only the surviving chunks' records (one
+ *     thread-pool job each) and stream them through the codec's §4
+ *     flush, FccTraceCompressor::expandInOrder, with a per-flow
+ *     filter: every chunk draws from its own RNG stream, and the
+ *     matches reach any TraceSink batch by batch, in canonical order,
+ *     as the merge drains them.
  *
  * Reconstruction is bit-exact with a full decompression of the same
  * archive: chunk RNG streams are seeded by original chunk index
@@ -27,9 +29,7 @@
  * full decode with the same filtering semantics — a query is never
  * wrong, only slower. See docs/QUERY.md.
  *
- * The pre-PR 7 query API — the closed conjunctive Predicate — is
- * kept as a thin adapter that lowers onto Expr; new code should
- * build Expr trees (or parse the text grammar) directly. Aggregate
+ * Queries are query::Expr trees (or the text grammar). Aggregate
  * queries over an archive (per-server flow counts, byte histograms,
  * top-K talkers, computed without reconstructing packets) live in
  * query/aggregate.hpp; multi-archive catalogs in query/catalog.hpp.
@@ -43,7 +43,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "codec/fcc/datasets.hpp"
@@ -58,50 +57,6 @@ namespace fcc::query {
 
 struct AggregateRequest;
 struct AggregateResult;
-
-/**
- * Conjunctive flow/packet predicate — the closed query surface of
- * PR 5, retained as a compatibility adapter. Unset members match
- * everything; set members must all hold. Deprecated: new code
- * should compose a query::Expr (or parse the text grammar) instead;
- * every Predicate lowers losslessly via toExpr().
- */
-struct Predicate
-{
-    /**
-     * Flow predicate: the flow's stored destination (server)
-     * address — the 5-tuple component the lossy codec preserves
-     * (client address/port are synthesized at decode, §4). All
-     * packets of matching flows qualify.
-     */
-    std::optional<uint32_t> serverIp;
-
-    /**
-     * Packet predicate: inclusive reconstructed-timestamp window in
-     * microseconds; only packets inside it are emitted.
-     */
-    std::optional<std::pair<uint64_t, uint64_t>> timeUs;
-
-    /** Flow predicate: only flows of at least this many packets. */
-    uint32_t minFlowPackets = 0;
-
-    /** True when every flow and packet matches. */
-    bool
-    matchAll() const
-    {
-        return !serverIp && !timeUs && minFlowPackets <= 1;
-    }
-
-    /**
-     * Lower to the equivalent expression tree: the AND of one leaf
-     * per set member. Plan and execution semantics are identical to
-     * the legacy closed-predicate paths.
-     * @throws fcc::util::Error on an inverted time window
-     *         (timeUs->first > timeUs->second) — previously such a
-     *         predicate silently matched nothing.
-     */
-    Expr toExpr() const;
-};
 
 /** What one query run touched and produced. */
 struct QueryStats
@@ -194,12 +149,10 @@ class FccArchive
      */
     std::vector<size_t> plan(const Expr &expr) const;
 
-    /** Adapter: plan(pred.toExpr()). */
-    std::vector<size_t> plan(const Predicate &pred) const;
-
     /**
      * Run @p expr over the archive and write the matching packets,
-     * globally time-sorted, to @p sink (closed before returning).
+     * in canonical order, to @p sink batch by batch as the §4 flush
+     * drains them (closed before returning).
      * Uses the index when present unless @p forceFullDecode; always
      * produces exactly the packets a full decompression filtered by
      * @p expr would.
@@ -207,10 +160,6 @@ class FccArchive
      * @throws fcc::util::Error on a malformed archive.
      */
     QueryStats run(const Expr &expr, trace::TraceSink &sink,
-                   bool forceFullDecode = false) const;
-
-    /** Adapter: run(pred.toExpr(), ...). */
-    QueryStats run(const Predicate &pred, trace::TraceSink &sink,
                    bool forceFullDecode = false) const;
 
     /**
@@ -230,7 +179,6 @@ class FccArchive
      */
     struct SharedRegion
     {
-        flow::Weights weights;
         codec::fcc::Datasets shared;     ///< templates + addresses
         std::vector<uint64_t> chunkLen;  ///< records per chunk
         size_t sharedEnd = 0;    ///< end of the shared frames

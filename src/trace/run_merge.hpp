@@ -1,9 +1,10 @@
 /**
  * @file
  * The canonical-order merge of reconstructed packets: every path that
- * orders packets after expansion (the §4 streaming flush, in-memory
- * expansion, query results, the cross-archive catalog merge) goes
- * through RunMerge.
+ * orders packets after expansion goes through RunMerge. The §4 flush
+ * (FccTraceCompressor::expandInOrder) carries streaming and in-memory
+ * decompression and both query executors, whose per-flow filter only
+ * shortens runs; the cross-archive catalog merge is the other user.
  */
 
 #ifndef FCC_TRACE_RUN_MERGE_HPP

@@ -160,4 +160,26 @@ ThreadPool::parallelFor(size_t count,
     wait();
 }
 
+std::unique_ptr<ThreadPool>
+makePool(uint32_t threads, size_t jobs)
+{
+    unsigned workers =
+        threads != 0 ? threads : ThreadPool::hardwareThreads();
+    if (workers <= 1 || jobs <= 1)
+        return nullptr;
+    return std::make_unique<ThreadPool>(workers);
+}
+
+void
+parallelFor(ThreadPool *pool, size_t count,
+            const std::function<void(size_t)> &body)
+{
+    if (pool != nullptr && count > 1) {
+        pool->parallelFor(count, body);
+        return;
+    }
+    for (size_t i = 0; i < count; ++i)
+        body(i);
+}
+
 } // namespace fcc::util

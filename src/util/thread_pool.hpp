@@ -17,6 +17,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -92,6 +93,22 @@ class ThreadPool
     bool stopping_ = false;
     std::exception_ptr firstError_;
 };
+
+/**
+ * A pool for @p threads workers (0 = hardwareThreads()) to run
+ * @p jobs jobs on, or null when one worker or one job would leave it
+ * idle: parallelFor() then runs inline.
+ */
+std::unique_ptr<ThreadPool> makePool(uint32_t threads,
+                                     size_t jobs = SIZE_MAX);
+
+/**
+ * Run body(0) ... body(count - 1): on @p pool when it is non-null and
+ * count > 1, otherwise inline on the calling thread. Bodies write to
+ * fixed slots, so results never depend on which.
+ */
+void parallelFor(ThreadPool *pool, size_t count,
+                 const std::function<void(size_t)> &body);
 
 } // namespace fcc::util
 

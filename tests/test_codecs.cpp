@@ -9,12 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "codec/compressor.hpp"
 #include "codec/fcc/datasets.hpp"
 #include "codec/fcc/fcc_codec.hpp"
+#include "codec/fcc/session.hpp"
 #include "codec/models.hpp"
 #include "codec/peuhkuri/flow_cache.hpp"
 #include "codec/peuhkuri/peuhkuri.hpp"
@@ -439,6 +442,47 @@ TEST(Fcc, RejectsBadWeights)
     // Weights whose max S exceeds one byte are rejected eagerly.
     cfg.weights = flow::Weights{100, 20, 5};
     EXPECT_THROW(fccc::FccTraceCompressor{cfg}, util::Error);
+}
+
+TEST(Fcc, ValidateRefusesOutOfRangeKnobs)
+{
+    // Every check lives in FccConfig::validate(), so the codec, the
+    // sessions and the tools refuse the same configs.
+    fccc::FccConfig ok;
+    EXPECT_NO_THROW(ok.validate());
+    std::vector<fccc::FccConfig> bad;
+    auto with = [&](auto edit) {
+        fccc::FccConfig cfg;
+        edit(cfg);
+        bad.push_back(cfg);
+    };
+    with([](fccc::FccConfig &c) { c.weights = {100, 20, 5}; });
+    with([](fccc::FccConfig &c) { c.rule.percent = -5.0; });
+    with([](fccc::FccConfig &c) { c.rule.percent = 100.5; });
+    with([](fccc::FccConfig &c) {
+        c.rule.percent = std::numeric_limits<double>::quiet_NaN();
+    });
+    with([](fccc::FccConfig &c) {
+        c.rule.percent = std::numeric_limits<double>::infinity();
+    });
+    with([](fccc::FccConfig &c) { c.shortLimit = 0; });
+    with([](fccc::FccConfig &c) { c.threads = 1025; });
+    for (size_t i = 0; i < bad.size(); ++i) {
+        EXPECT_THROW(bad[i].validate(), util::Error) << i;
+        EXPECT_THROW(fccc::FccTraceCompressor{bad[i]}, util::Error)
+            << i;
+        EXPECT_THROW(fccc::CompressSession{bad[i]}, util::Error)
+            << i;
+    }
+
+    // The edges stay accepted.
+    fccc::FccConfig edge;
+    edge.rule.percent = 0.0;
+    edge.shortLimit = 1;
+    edge.threads = 1024;
+    EXPECT_NO_THROW(edge.validate());
+    edge.rule.percent = 100.0;
+    EXPECT_NO_THROW(edge.validate());
 }
 
 TEST(Fcc, DatasetSerializationRoundTrip)

@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <bit>
@@ -255,11 +257,6 @@ TEST(ExprGrammar, InvertedRangesThrowAtConstruction)
                  util::Error);
     EXPECT_THROW(query::parseExpr("port in [443, 80]"),
                  util::Error);
-
-    // The deprecated Predicate adapter validates on lowering too.
-    query::Predicate pred;
-    pred.timeUs = {{5'000'000, 4'000'000}};
-    EXPECT_THROW(pred.toExpr(), util::Error);
 }
 
 // ---- evaluation -----------------------------------------------------
@@ -389,34 +386,41 @@ TEST(ExprPlan, DeMorganEquivalentsPlanConsistently)
     }
 }
 
-TEST(ExprPlan, PredicateAdapterLowersToSamePlanAndEval)
+TEST(ExprPlan, ShorthandConjunctionMatchesDirectSemantics)
 {
+    // fccquery's --flow/--time/--min-packets: an AND of the leaves
+    // given, evaluated against the three conditions directly.
     util::Rng rng(0xAB);
     for (int round = 0; round < 100; ++round) {
-        query::Predicate pred;
-        if (rng.uniformInt(0, 1))
-            pred.serverIp = static_cast<uint32_t>(
+        std::optional<uint32_t> server;
+        std::optional<std::pair<uint64_t, uint64_t>> window;
+        uint64_t minPackets = 0;
+        Expr expr = Expr::matchAll();
+        if (rng.uniformInt(0, 1)) {
+            server = static_cast<uint32_t>(
                 0x0a000000u + rng.uniformInt(0, 2000));
+            expr = Expr::andOf(expr, Expr::serverIs(*server));
+        }
         if (rng.uniformInt(0, 1)) {
             uint64_t t0 = rng.uniformInt(0, 50'000'000);
-            pred.timeUs = {{t0, rng.uniformInt(t0, 60'000'000)}};
+            window = {t0, rng.uniformInt(t0, 60'000'000)};
+            expr = Expr::andOf(
+                expr, Expr::timeWithin(window->first, window->second));
         }
-        if (rng.uniformInt(0, 1))
-            pred.minFlowPackets = static_cast<uint32_t>(
-                rng.uniformInt(1, 100));
-        Expr expr = pred.toExpr();
+        if (rng.uniformInt(0, 1)) {
+            minPackets = rng.uniformInt(1, 100);
+            expr = Expr::andOf(expr, Expr::minFlowPackets(minPackets));
+        }
 
         std::vector<std::pair<FlowView, uint64_t>> flows;
         codec::fcc::ChunkSummary chunk = randomChunk(rng, flows);
         for (const auto &[flow, startUs] : flows) {
             bool viaExpr = expr.matches(flow, startUs);
             bool direct =
-                (!pred.serverIp ||
-                 *pred.serverIp == flow.serverIp) &&
-                (!pred.timeUs ||
-                 (startUs >= pred.timeUs->first &&
-                  startUs <= pred.timeUs->second)) &&
-                flow.packets >= pred.minFlowPackets;
+                (!server || *server == flow.serverIp) &&
+                (!window || (startUs >= window->first &&
+                             startUs <= window->second)) &&
+                flow.packets >= minPackets;
             EXPECT_EQ(viaExpr, direct) << expr.str();
         }
     }

@@ -138,7 +138,7 @@ seedArchive()
 }
 
 std::vector<trace::PacketRecord>
-runQuery(const std::string &path, const query::Predicate &pred,
+runQuery(const std::string &path, const query::Expr &pred,
          const fccc::FccConfig &cfg, query::QueryStats *stats,
          bool forceFullDecode = false)
 {
@@ -311,8 +311,7 @@ TEST(QueryIndex, SingleFlowQueryTouchesStrictlyFewerChunksAndBytes)
     ASSERT_NE(rareIp, 0u) << "no single-chunk server in the seed "
                              "trace; shrink chunkRecords";
 
-    query::Predicate pred;
-    pred.serverIp = rareIp;
+    query::Expr pred = query::Expr::serverIs(rareIp);
     query::QueryStats stats;
     auto packets =
         runQuery(seed.idxPath, pred, seed.cfg, &stats);
@@ -336,8 +335,7 @@ TEST(QueryIndex, QueryMatchesFullDecodePlusFilter)
     // carries the server as destination, so the ground-truth filter
     // is a dstIp match.
     uint32_t ip = d.addresses[d.addresses.size() / 2];
-    query::Predicate flowPred;
-    flowPred.serverIp = ip;
+    query::Expr flowPred = query::Expr::serverIs(ip);
     std::vector<trace::PacketRecord> expected;
     for (const auto &pkt : full.packets())
         if (pkt.dstIp == ip)
@@ -354,8 +352,7 @@ TEST(QueryIndex, QueryMatchesFullDecodePlusFilter)
     // --time: a window in the middle of the trace.
     uint64_t t0 = d.timeSeq[d.timeSeq.size() / 3].firstTimestampUs;
     uint64_t t1 = t0 + 2'000'000;
-    query::Predicate timePred;
-    timePred.timeUs = {t0, t1};
+    query::Expr timePred = query::Expr::timeWithin(t0, t1);
     expected.clear();
     for (const auto &pkt : full.packets())
         if (pkt.timestampUs() >= t0 && pkt.timestampUs() <= t1)
@@ -369,8 +366,7 @@ TEST(QueryIndex, QueryMatchesFullDecodePlusFilter)
     // --min-packets: long flows only; equivalence against the
     // forced full-decode path (flow sizes are not derivable from
     // packets alone).
-    query::Predicate longPred;
-    longPred.minFlowPackets = 51;
+    query::Expr longPred = query::Expr::minFlowPackets(51);
     auto viaLong =
         runQuery(seed.idxPath, longPred, seed.cfg, nullptr);
     auto viaLongFull = runQuery(seed.idxPath, longPred, seed.cfg,
@@ -380,7 +376,7 @@ TEST(QueryIndex, QueryMatchesFullDecodePlusFilter)
                       "--min-packets vs full decode");
 
     // No predicate: the query is a full reconstruction.
-    query::Predicate all;
+    query::Expr all = query::Expr::matchAll();
     auto viaAll = runQuery(seed.idxPath, all, seed.cfg, nullptr);
     expectSamePackets(viaAll, full.packets(), "match-all");
 }
@@ -389,8 +385,7 @@ TEST(QueryIndex, QueryResultIndependentOfThreadCount)
 {
     SeedArchive &seed = seedArchive();
     fccc::Datasets d = fccc::deserialize(readBytes(seed.idxPath));
-    query::Predicate pred;
-    pred.serverIp = d.addresses.front();
+    query::Expr pred = query::Expr::serverIs(d.addresses.front());
 
     fccc::FccConfig cfg1 = seed.cfg;
     cfg1.threads = 1;
@@ -417,9 +412,8 @@ TEST(QueryIndex, LargerGapBypassesTimeWindowPruning)
     fccc::FccConfig wideGap = seed.cfg;
     wideGap.defaultGapUs = 5000;
 
-    query::Predicate pred;
     uint64_t t0 = d.timeSeq[d.timeSeq.size() / 2].firstTimestampUs;
-    pred.timeUs = {t0, t0 + 1'000'000};
+    query::Expr pred = query::Expr::timeWithin(t0, t0 + 1'000'000);
     query::QueryStats stats;
     auto got = runQuery(seed.idxPath, pred, wideGap, &stats);
     EXPECT_FALSE(stats.usedIndex);
@@ -429,8 +423,7 @@ TEST(QueryIndex, LargerGapBypassesTimeWindowPruning)
 
     // A non-time predicate keeps the indexed path even with the
     // wider gap (Bloom and flow-size pruning are gap-independent).
-    query::Predicate flowPred;
-    flowPred.serverIp = d.addresses.front();
+    query::Expr flowPred = query::Expr::serverIs(d.addresses.front());
     query::QueryStats flowStats;
     runQuery(seed.idxPath, flowPred, wideGap, &flowStats);
     EXPECT_TRUE(flowStats.usedIndex);
@@ -447,8 +440,7 @@ TEST(QueryIndex, UnindexedContainersFallBackToFullDecode)
     fccc::compressTraceFile(seed.tshPath, f2, cfg2);
 
     fccc::Datasets d = fccc::deserialize(readBytes(f2));
-    query::Predicate pred;
-    pred.serverIp = d.addresses[1];
+    query::Expr pred = query::Expr::serverIs(d.addresses[1]);
     query::QueryStats stats;
     auto viaF2 = runQuery(f2, pred, seed.cfg, &stats);
     EXPECT_FALSE(stats.usedIndex);
@@ -470,7 +462,7 @@ TEST(QueryIndex, CorruptOrTruncatedIndexDegradesSafely)
     uint64_t region = fccc::indexRegionBytes(good);
     ASSERT_GT(region, fccc::indexFooterBytes);
 
-    query::Predicate all;
+    query::Expr all = query::Expr::matchAll();
     auto reference =
         runQuery(seed.idxPath, all, seed.cfg, nullptr);
     ASSERT_EQ(reference.size(), seed.original.size());
@@ -561,7 +553,7 @@ TEST(QueryIndex, EmptyDatasetsRoundTripWithIndex)
 
     std::string path = tempPath("empty_idx.fcc");
     writeBytes(path, bytes);
-    query::Predicate all;
+    query::Expr all = query::Expr::matchAll();
     query::QueryStats stats;
     auto packets = runQuery(path, all, fccc::FccConfig{}, &stats);
     EXPECT_TRUE(stats.usedIndex);
@@ -588,8 +580,7 @@ TEST(QueryIndex, PlanNeverDropsAMatchingChunk)
         rec += d.chunkSizes[c];
     }
     for (uint32_t ip : d.addresses) {
-        query::Predicate pred;
-        pred.serverIp = ip;
+        query::Expr pred = query::Expr::serverIs(ip);
         auto planned = archive.plan(pred);
         std::set<size_t> plannedSet(planned.begin(), planned.end());
         for (size_t c = 0; c < serversOf.size(); ++c) {

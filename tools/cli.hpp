@@ -20,6 +20,7 @@
 #ifndef FCC_TOOLS_CLI_HPP
 #define FCC_TOOLS_CLI_HPP
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -251,6 +252,20 @@ printDecompressStats(const codec::fcc::StreamStats &stats)
                 static_cast<unsigned long long>(stats.flows),
                 static_cast<unsigned long long>(stats.packets),
                 static_cast<unsigned long long>(stats.outputBytes));
+}
+
+/** Parse a finite decimal number flag value (range checks are the
+ *  config's: FccConfig::validate()).
+ *  @throws fcc::util::Error naming @p flag on anything else. */
+inline double
+parseNumber(const char *flag, const char *text)
+{
+    char *end = nullptr;
+    double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(value))
+        throw util::Error(std::string(flag) + ": '" + text +
+                          "' is not a finite number");
+    return value;
 }
 
 /** parseUnsigned() with an inclusive [lo, hi] range check. */

@@ -116,7 +116,7 @@ main(int argc, char **argv)
               "replay pacing in packets per second\n"
               "(default 0 = as fast as the input delivers)",
               [&](const char *v) {
-                  config.replayRate = std::atof(v);
+                  config.replayRate = cli::parseNumber("--rate", v);
                   if (config.replayRate < 0)
                       throw util::Error(
                           "--rate: must be non-negative");
