@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
 
 #include "codec/deflate/huffman.hpp"
 #include "codec/deflate/inflate_stream.hpp"
@@ -23,35 +24,61 @@ namespace fcc::codec::deflate {
 
 namespace {
 
+/** Length code index (0..28) of a match length, by table scan. */
+constexpr uint8_t
+scanLengthCode(size_t len)
+{
+    int i = 28;
+    while (i > 0 && len < lengthBase[i])
+        --i;
+    return static_cast<uint8_t>(i);
+}
+
+/** Distance code (0..29) of a distance, by table scan. */
+constexpr uint8_t
+scanDistCode(size_t dist)
+{
+    int i = 29;
+    while (i > 0 && dist < distBase[i])
+        --i;
+    return static_cast<uint8_t>(i);
+}
+
+/** Length code index of every match length 3..258. */
+constexpr auto lengthCodeTable = [] {
+    std::array<uint8_t, maxMatch + 1> table{};
+    for (size_t len = minMatch; len <= maxMatch; ++len)
+        table[len] = scanLengthCode(len);
+    return table;
+}();
+
+/**
+ * Distance codes, zlib-style: entry d-1 for distances up to 256,
+ * entry 256 + ((d-1) >> 7) beyond (every base from code 16 on is
+ * 1 + a multiple of 128, so the shifted distance fixes the code).
+ */
+constexpr auto distCodeTable = [] {
+    std::array<uint8_t, 512> table{};
+    for (size_t d = 1; d <= 256; ++d)
+        table[d - 1] = scanDistCode(d);
+    for (size_t hi = 2; hi < 256; ++hi)
+        table[256 + hi] = scanDistCode((hi << 7) + 1);
+    return table;
+}();
+
 /** Map a match length (3..258) to its length code index (0..28). */
-int
+inline int
 lengthCodeIndex(uint16_t len)
 {
-    FCC_ASSERT(len >= minMatch && len <= maxMatch,
-               "match length out of range");
-    int lo = 0;
-    for (int i = 28; i >= 0; --i) {
-        if (len >= lengthBase[i]) {
-            lo = i;
-            break;
-        }
-    }
-    return lo;
+    return lengthCodeTable[len];
 }
 
 /** Map a distance (1..32768) to its distance code (0..29). */
-int
+inline int
 distCodeIndex(uint16_t dist)
 {
-    FCC_ASSERT(dist >= 1, "distance out of range");
-    int lo = 0;
-    for (int i = 29; i >= 0; --i) {
-        if (dist >= distBase[i]) {
-            lo = i;
-            break;
-        }
-    }
-    return lo;
+    unsigned d = dist - 1u;
+    return distCodeTable[d < 256 ? d : 256 + (d >> 7)];
 }
 
 // ---- encoder --------------------------------------------------------
@@ -107,12 +134,38 @@ rleCodeLengths(std::span<const uint8_t> lens)
     return items;
 }
 
-/** Everything needed to emit one block under a code pair. */
-struct BlockCodes
+/**
+ * One Huffman code ready to emit: per symbol, its length and its
+ * code already bit-reversed into stream order.
+ */
+struct EmitCode
 {
-    std::vector<uint8_t> litLens, distLens;
-    std::vector<uint16_t> litCodes, distCodes;
+    std::vector<uint8_t> lens;
+    std::vector<uint16_t> bits;
+
+    explicit EmitCode(std::vector<uint8_t> lengths)
+        : lens(std::move(lengths)), bits(canonicalCodes(lens))
+    {
+        for (size_t sym = 0; sym < lens.size(); ++sym)
+            bits[sym] = static_cast<uint16_t>(
+                util::reverseBits(bits[sym], lens[sym]));
+    }
 };
+
+/** The fixed literal/length and distance codes (RFC 1951 §3.2.6). */
+const EmitCode &
+fixedLitCode()
+{
+    static const EmitCode code(fixedLitLengths());
+    return code;
+}
+
+const EmitCode &
+fixedDistCode()
+{
+    static const EmitCode code(fixedDistLengths());
+    return code;
+}
 
 /** Bit cost of the token payload under the given lengths. */
 uint64_t
@@ -132,28 +185,33 @@ payloadCost(std::span<const uint64_t> litFreq,
     return bits;
 }
 
-/** Emit the token payload plus end-of-block. */
+/**
+ * Emit the token payload plus end-of-block. A match goes out as two
+ * put()s: length code plus its extra bits, distance code plus its
+ * extra bits (at most 15 + 5 and 15 + 13 bits).
+ */
 void
-emitTokens(util::BitWriter &out,
-           std::span<const Lz77Token> tokens,
-           const BlockCodes &codes)
+emitTokens(util::BitWriter &out, std::span<const Lz77Token> tokens,
+           const EmitCode &lit, const EmitCode &dist)
 {
     for (const auto &tok : tokens) {
         if (tok.isLiteral()) {
-            out.putHuff(codes.litCodes[tok.length],
-                        codes.litLens[tok.length]);
-        } else {
-            int li = lengthCodeIndex(tok.length);
-            int sym = 257 + li;
-            out.putHuff(codes.litCodes[sym], codes.litLens[sym]);
-            out.put(tok.length - lengthBase[li], lengthExtra[li]);
-            int di = distCodeIndex(tok.distance);
-            out.putHuff(codes.distCodes[di], codes.distLens[di]);
-            out.put(tok.distance - distBase[di], distExtra[di]);
+            out.put(lit.bits[tok.length], lit.lens[tok.length]);
+            continue;
         }
+        int li = lengthCodeIndex(tok.length);
+        int sym = 257 + li;
+        out.put(lit.bits[sym] |
+                    static_cast<uint32_t>(tok.length - lengthBase[li])
+                        << lit.lens[sym],
+                lit.lens[sym] + lengthExtra[li]);
+        int di = distCodeIndex(tok.distance);
+        out.put(dist.bits[di] |
+                    static_cast<uint32_t>(tok.distance - distBase[di])
+                        << dist.lens[di],
+                dist.lens[di] + distExtra[di]);
     }
-    out.putHuff(codes.litCodes[endOfBlock],
-                codes.litLens[endOfBlock]);
+    out.put(lit.bits[endOfBlock], lit.lens[endOfBlock]);
 }
 
 /** One encoder block: tokens plus the raw bytes they cover. */
@@ -175,52 +233,42 @@ emitBlock(util::BitWriter &out, std::span<const Lz77Token> tokens,
     }
 
     // Dynamic code construction.
-    BlockCodes dyn;
-    dyn.litLens = buildCodeLengths(litFreq, 15);
-    dyn.distLens = buildCodeLengths(distFreq, 15);
-    dyn.litLens.resize(numLitCodes);
-    dyn.distLens.resize(numDistCodes);
+    auto litLens = buildCodeLengths(litFreq, 15);
+    auto distLens = buildCodeLengths(distFreq, 15);
 
     int hlit = numLitCodes;
-    while (hlit > 257 && dyn.litLens[hlit - 1] == 0)
+    while (hlit > 257 && litLens[hlit - 1] == 0)
         --hlit;
     int hdist = numDistCodes;
-    while (hdist > 1 && dyn.distLens[hdist - 1] == 0)
+    while (hdist > 1 && distLens[hdist - 1] == 0)
         --hdist;
 
-    std::vector<uint8_t> seq(dyn.litLens.begin(),
-                             dyn.litLens.begin() + hlit);
-    seq.insert(seq.end(), dyn.distLens.begin(),
-               dyn.distLens.begin() + hdist);
+    std::vector<uint8_t> seq(litLens.begin(), litLens.begin() + hlit);
+    seq.insert(seq.end(), distLens.begin(), distLens.begin() + hdist);
     auto rle = rleCodeLengths(seq);
 
     std::vector<uint64_t> clcFreq(19, 0);
     for (const auto &item : rle)
         ++clcFreq[item.symbol];
-    auto clcLens = buildCodeLengths(clcFreq, 7);
-    clcLens.resize(19);
-    auto clcCodes = canonicalCodes(clcLens);
+    EmitCode clc(buildCodeLengths(clcFreq, 7));
 
     int hclen = 19;
-    while (hclen > 4 && clcLens[clcOrder[hclen - 1]] == 0)
+    while (hclen > 4 && clc.lens[clcOrder[hclen - 1]] == 0)
         --hclen;
 
     uint64_t dynHeaderBits = 5 + 5 + 4 + 3ull * hclen;
     for (const auto &item : rle)
-        dynHeaderBits += clcLens[item.symbol] + item.extraBits;
+        dynHeaderBits += clc.lens[item.symbol] + item.extraBits;
     uint64_t dynCost = dynHeaderBits +
-                       payloadCost(litFreq, distFreq, dyn.litLens,
-                                   dyn.distLens);
+                       payloadCost(litFreq, distFreq, litLens, distLens);
 
     // Fixed-code cost.
-    BlockCodes fixed;
-    fixed.litLens = fixedLitLengths();
-    fixed.distLens = fixedDistLengths();
+    const EmitCode &fixedLit = fixedLitCode();
+    const EmitCode &fixedDist = fixedDistCode();
     uint64_t fixedCost = payloadCost(
         litFreq, distFreq,
-        std::span<const uint8_t>(fixed.litLens.data(), numLitCodes),
-        std::span<const uint8_t>(fixed.distLens.data(),
-                                 numDistCodes));
+        std::span<const uint8_t>(fixedLit.lens.data(), numLitCodes),
+        std::span<const uint8_t>(fixedDist.lens.data(), numDistCodes));
 
     // Stored cost (only possible for blocks within the 64 KiB limit).
     uint64_t storedCost = raw.size() <= 0xffff
@@ -235,15 +283,12 @@ emitBlock(util::BitWriter &out, std::span<const Lz77Token> tokens,
         out.byte(static_cast<uint8_t>(raw.size() >> 8));
         out.byte(static_cast<uint8_t>(~raw.size()));
         out.byte(static_cast<uint8_t>(~raw.size() >> 8));
-        for (uint8_t b : raw)
-            out.byte(b);
+        out.bytes(raw);
         return;
     }
     if (fixedCost <= dynCost) {
         out.put(1, 2);  // BTYPE=01
-        fixed.litCodes = canonicalCodes(fixed.litLens);
-        fixed.distCodes = canonicalCodes(fixed.distLens);
-        emitTokens(out, tokens, fixed);
+        emitTokens(out, tokens, fixedLit, fixedDist);
         return;
     }
     out.put(2, 2);  // BTYPE=10
@@ -251,21 +296,20 @@ emitBlock(util::BitWriter &out, std::span<const Lz77Token> tokens,
     out.put(hdist - 1, 5);
     out.put(hclen - 4, 4);
     for (int i = 0; i < hclen; ++i)
-        out.put(clcLens[clcOrder[i]], 3);
-    for (const auto &item : rle) {
-        out.putHuff(clcCodes[item.symbol], clcLens[item.symbol]);
-        if (item.extraBits > 0)
-            out.put(item.extra, item.extraBits);
-    }
-    dyn.litCodes = canonicalCodes(dyn.litLens);
-    dyn.distCodes = canonicalCodes(dyn.distLens);
-    emitTokens(out, tokens, dyn);
+        out.put(clc.lens[clcOrder[i]], 3);
+    for (const auto &item : rle)
+        out.put(clc.bits[item.symbol] |
+                    static_cast<uint32_t>(item.extra)
+                        << clc.lens[item.symbol],
+                clc.lens[item.symbol] + item.extraBits);
+    emitTokens(out, tokens, EmitCode(std::move(litLens)),
+               EmitCode(std::move(distLens)));
 }
 
 } // namespace
 
 std::vector<uint8_t>
-deflateCompress(std::span<const uint8_t> data, const Lz77Config &cfg)
+deflateCompress(std::span<const uint8_t> data)
 {
     util::BitWriter out;
     if (data.empty()) {
@@ -280,7 +324,7 @@ deflateCompress(std::span<const uint8_t> data, const Lz77Config &cfg)
         return out.take();
     }
 
-    auto tokens = lz77Tokenize(data, cfg);
+    auto tokens = lz77Tokenize(data);
 
     // Split the token stream into blocks so each gets Huffman codes
     // fitted to its local statistics.
@@ -320,12 +364,12 @@ inflate(std::span<const uint8_t> data)
 }
 
 std::vector<uint8_t>
-zlibCompress(std::span<const uint8_t> data, const Lz77Config &cfg)
+zlibCompress(std::span<const uint8_t> data)
 {
     std::vector<uint8_t> out;
     out.push_back(0x78);  // CM=8, CINFO=7 (32K window)
     out.push_back(0x9c);  // FCHECK making the pair % 31 == 0
-    auto body = deflateCompress(data, cfg);
+    auto body = deflateCompress(data);
     out.insert(out.end(), body.begin(), body.end());
     uint32_t adler = util::Adler32::of(data);
     out.push_back(static_cast<uint8_t>(adler >> 24));
@@ -355,7 +399,7 @@ zlibDecompress(std::span<const uint8_t> data)
 }
 
 std::vector<uint8_t>
-gzipCompress(std::span<const uint8_t> data, const Lz77Config &cfg)
+gzipCompress(std::span<const uint8_t> data)
 {
     std::vector<uint8_t> out = {
         0x1f, 0x8b,  // magic
@@ -365,7 +409,7 @@ gzipCompress(std::span<const uint8_t> data, const Lz77Config &cfg)
         0,           // XFL
         255,         // OS = unknown
     };
-    auto body = deflateCompress(data, cfg);
+    auto body = deflateCompress(data);
     out.insert(out.end(), body.begin(), body.end());
     uint32_t crc = util::Crc32::of(data);
     for (int i = 0; i < 4; ++i)

@@ -8,7 +8,7 @@
 #include "codec/deflate/huffman.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <iterator>
 
 #include "util/error.hpp"
 
@@ -16,15 +16,28 @@ namespace fcc::codec::deflate {
 
 namespace {
 
-/** One package-merge item: a weight plus the leaves it contains. */
-struct Package
+/** One package-merge item: a weight and whether it is a leaf. */
+struct Item
 {
     uint64_t weight = 0;
-    std::vector<uint16_t> leaves;
+    bool leaf = false;
 };
 
 bool
-packageLess(const Package &a, const Package &b)
+itemLess(const Item &a, const Item &b)
+{
+    return a.weight < b.weight;
+}
+
+/** A used symbol and its frequency. */
+struct Leaf
+{
+    uint64_t weight = 0;
+    uint16_t symbol = 0;
+};
+
+bool
+leafLess(const Leaf &a, const Leaf &b)
 {
     return a.weight < b.weight;
 }
@@ -37,59 +50,70 @@ buildCodeLengths(std::span<const uint64_t> freqs, int maxBits)
     util::require(maxBits >= 1 && maxBits <= 15,
                   "buildCodeLengths: maxBits out of range");
 
-    std::vector<uint16_t> used;
+    std::vector<Leaf> leaves;
     for (uint16_t sym = 0; sym < freqs.size(); ++sym)
         if (freqs[sym] > 0)
-            used.push_back(sym);
+            leaves.push_back(Leaf{freqs[sym], sym});
 
     std::vector<uint8_t> lengths(freqs.size(), 0);
-    if (used.empty())
+    if (leaves.empty())
         return lengths;
-    if (used.size() == 1) {
-        lengths[used[0]] = 1;
+    if (leaves.size() == 1) {
+        lengths[leaves[0].symbol] = 1;
         return lengths;
     }
-    util::require(used.size() <= (1ull << maxBits),
+    util::require(leaves.size() <= (1ull << maxBits),
                   "buildCodeLengths: too many symbols for maxBits");
 
     // Package-merge: build per-level lists; leaves at every level,
     // plus pairs packaged from the level below. Selecting the
     // 2*(n-1) cheapest items of the top list yields, per leaf, its
     // optimal depth count = code length.
-    std::vector<Package> leafItems;
-    leafItems.reserve(used.size());
-    for (uint16_t sym : used)
-        leafItems.push_back(Package{freqs[sym], {sym}});
-    std::sort(leafItems.begin(), leafItems.end(), packageLess);
+    //
+    // Items carry no leaf lists. The merge keeps the sorted leaves
+    // in order, so the leaves inside any prefix of a level's list
+    // are the first k sorted leaves; and the first p packages of a
+    // level are built from the first 2p items of the level below.
+    // Recording which items are leaves is therefore enough to count
+    // leaf depths top-down afterwards.
+    std::sort(leaves.begin(), leaves.end(), leafLess);
+    std::vector<Item> leafItems(leaves.size());
+    for (size_t i = 0; i < leaves.size(); ++i)
+        leafItems[i] = Item{leaves[i].weight, true};
 
-    std::vector<Package> below;  // list for the previous level
+    std::vector<uint8_t> isLeaf;  // every level's flags, level-major
+    std::vector<size_t> levelStart(maxBits + 1, 0);
+    std::vector<Item> below, pairs, merged;
     for (int level = 0; level < maxBits; ++level) {
-        std::vector<Package> merged;
-        merged.reserve(leafItems.size() + below.size() / 2);
-        // Package pairs from the level below.
-        std::vector<Package> pairs;
-        for (size_t i = 0; i + 1 < below.size(); i += 2) {
-            Package pkg;
-            pkg.weight = below[i].weight + below[i + 1].weight;
-            pkg.leaves = below[i].leaves;
-            pkg.leaves.insert(pkg.leaves.end(),
-                              below[i + 1].leaves.begin(),
-                              below[i + 1].leaves.end());
-            pairs.push_back(std::move(pkg));
-        }
-        std::merge(leafItems.begin(), leafItems.end(),
-                   std::make_move_iterator(pairs.begin()),
-                   std::make_move_iterator(pairs.end()),
-                   std::back_inserter(merged), packageLess);
-        below = std::move(merged);
+        pairs.clear();
+        for (size_t i = 0; i + 1 < below.size(); i += 2)
+            pairs.push_back(
+                Item{below[i].weight + below[i + 1].weight, false});
+        // std::merge puts leaves before packages of equal weight.
+        merged.clear();
+        std::merge(leafItems.begin(), leafItems.end(), pairs.begin(),
+                   pairs.end(), std::back_inserter(merged), itemLess);
+        levelStart[level] = isLeaf.size();
+        for (const Item &item : merged)
+            isLeaf.push_back(item.leaf);
+        std::swap(below, merged);
     }
+    levelStart[maxBits] = isLeaf.size();
 
-    size_t take = 2 * (used.size() - 1);
+    size_t take = 2 * (leaves.size() - 1);
     FCC_ASSERT(below.size() >= take,
                "package-merge produced too few items");
-    for (size_t i = 0; i < take; ++i)
-        for (uint16_t sym : below[i].leaves)
-            ++lengths[sym];
+    for (int level = maxBits - 1; level >= 0 && take > 0; --level) {
+        FCC_ASSERT(take <= levelStart[level + 1] - levelStart[level],
+                   "package-merge prefix overruns its level");
+        const uint8_t *flags = isLeaf.data() + levelStart[level];
+        size_t leafCount = 0;
+        for (size_t i = 0; i < take; ++i)
+            leafCount += flags[i];
+        for (size_t k = 0; k < leafCount; ++k)
+            ++lengths[leaves[k].symbol];
+        take = 2 * (take - leafCount);
+    }
 
     return lengths;
 }

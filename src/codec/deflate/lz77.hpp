@@ -43,24 +43,17 @@ struct Lz77Token
     }
 };
 
-/** Effort/ratio trade-off of the matcher. */
-struct Lz77Config
-{
-    /** Max hash-chain entries probed per position. */
-    uint32_t maxChainLength = 128;
-    /** Stop probing once a match at least this long is found. */
-    uint16_t goodEnoughLength = 64;
-    /** Enable one-step lazy matching. */
-    bool lazy = true;
-};
-
 /**
  * Tokenize @p data. Concatenating the tokens (literals plus window
  * copies) reproduces @p data exactly; every distance respects the
- * 32 KiB window.
+ * 32 KiB window. The matcher probes at most 128 chain entries per
+ * position, stops at the first match of 64 bytes or more, and defers
+ * a match by one byte when the next position matches longer.
+ *
+ * @throws fcc::util::Error when @p data has 2^32 - 1 bytes or more
+ *         (chain positions are 32-bit).
  */
-std::vector<Lz77Token>
-lz77Tokenize(std::span<const uint8_t> data, const Lz77Config &cfg = {});
+std::vector<Lz77Token> lz77Tokenize(std::span<const uint8_t> data);
 
 } // namespace fcc::codec::deflate
 

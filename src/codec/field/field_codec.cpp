@@ -7,7 +7,7 @@
 
 #include "codec/field/field_codec.hpp"
 
-#include <unordered_map>
+#include <cstdint>
 
 #include "util/bytes.hpp"
 #include "util/error.hpp"
@@ -39,17 +39,98 @@ zigzagDeltaSize(std::span<const uint64_t> values)
     return bytes;
 }
 
-uint64_t
-dictSize(std::span<const uint64_t> values)
+/**
+ * First-appearance numbering of a column's distinct values: a flat
+ * open-addressing table (linear probing, at most half full) that
+ * starts small and doubles, so a low-cardinality column stays in a
+ * few cache lines whatever its length.
+ */
+class FirstAppearance
 {
-    std::unordered_map<uint64_t, uint64_t> index;
-    index.reserve(values.size());
+  public:
+    FirstAppearance() : slots_(16) {}
+
+    /**
+     * Number of @p v in first-appearance order (0, 1, ...); @p isNew
+     * tells whether this call assigned it.
+     */
+    uint64_t
+    number(uint64_t v, bool &isNew)
+    {
+        size_t i = slotOf(v);
+        for (; slots_[i].ref != 0; i = (i + 1) & mask())
+            if (slots_[i].key == v) {
+                isNew = false;
+                return slots_[i].ref - 1;
+            }
+        isNew = true;
+        slots_[i] = Slot{v, ++count_};
+        if (2 * count_ > slots_.size())
+            grow();
+        return count_ - 1;
+    }
+
+    /** Distinct values seen so far. */
+    uint64_t size() const { return count_; }
+
+  private:
+    struct Slot
+    {
+        uint64_t key = 0;
+        uint64_t ref = 0;  // number + 1; 0 marks an empty slot
+    };
+
+    size_t mask() const { return slots_.size() - 1; }
+
+    size_t
+    slotOf(uint64_t v) const
+    {
+        // Fibonacci hashing: the top bits of a golden-ratio multiply.
+        return static_cast<size_t>((v * 0x9e3779b97f4a7c15ull) >>
+                                   (64 - shift_));
+    }
+
+    void
+    grow()
+    {
+        std::vector<Slot> old(slots_.size() * 2);
+        old.swap(slots_);
+        ++shift_;
+        for (const Slot &s : old) {
+            if (s.ref == 0)
+                continue;
+            size_t i = slotOf(s.key);
+            while (slots_[i].ref != 0)
+                i = (i + 1) & mask();
+            slots_[i] = s;
+        }
+    }
+
+    std::vector<Slot> slots_;
+    int shift_ = 4;  // log2 of slots_.size()
+    uint64_t count_ = 0;
+};
+
+/**
+ * Dict encoding size, or @p giveUpAt as soon as the size cannot come
+ * out below it: every value still to come costs at least its one
+ * index byte, and the dictionary count at least one more.
+ */
+uint64_t
+dictSize(std::span<const uint64_t> values,
+         uint64_t giveUpAt = UINT64_MAX)
+{
+    FirstAppearance index;
     uint64_t bytes = 0;
+    uint64_t left = values.size();
     for (uint64_t v : values) {
-        auto [it, isNew] = index.try_emplace(v, index.size());
+        bool isNew = false;
+        uint64_t ref = index.number(v, isNew);
         if (isNew)
             bytes += varintLen(v);
-        bytes += varintLen(it->second);
+        bytes += varintLen(ref);
+        if (bytes + --left + 1 >= giveUpAt)
+            return giveUpAt;
     }
     return bytes + varintLen(index.size());
 }
@@ -134,17 +215,20 @@ isOnGrid(std::span<const uint64_t> values, uint64_t quantum)
 FieldCodec
 chooseCodec(std::span<const uint64_t> values)
 {
+    // In tag order, so a tie keeps the lower tag.
     FieldCodec best = FieldCodec::Plain;
     uint64_t bestSize = plainSize(values);
-    const FieldCodec rest[] = {FieldCodec::ZigzagDelta,
-                               FieldCodec::Dict, FieldCodec::Rle};
-    for (FieldCodec codec : rest) {
-        uint64_t size = encodedSize(values, codec);
+    auto consider = [&](FieldCodec codec, uint64_t size) {
         if (size < bestSize) {
             best = codec;
             bestSize = size;
         }
-    }
+    };
+    consider(FieldCodec::ZigzagDelta, zigzagDeltaSize(values));
+    // Sizing a high-cardinality dictionary is the costly part; stop
+    // once it cannot win (a give-up reports bestSize, which loses).
+    consider(FieldCodec::Dict, dictSize(values, bestSize));
+    consider(FieldCodec::Rle, rleSize(values));
     return best;
 }
 
@@ -185,16 +269,15 @@ encodeColumn(std::span<const uint64_t> values, FieldCodec codec,
       }
 
       case FieldCodec::Dict: {
-        std::unordered_map<uint64_t, uint64_t> index;
-        index.reserve(values.size());
+        FirstAppearance index;
         std::vector<uint64_t> dict;
         std::vector<uint64_t> refs;
         refs.reserve(values.size());
         for (uint64_t v : values) {
-            auto [it, isNew] = index.try_emplace(v, dict.size());
+            bool isNew = false;
+            refs.push_back(index.number(v, isNew));
             if (isNew)
                 dict.push_back(v);
-            refs.push_back(it->second);
         }
         std::vector<uint8_t> out;
         const uint64_t dictCount = dict.size();

@@ -16,19 +16,41 @@
 
 namespace fcc::util {
 
-/** LSB-first bit writer producing a byte vector. */
+/**
+ * Reverse the low @p nbits bits of @p code (nbits <= 16): turns an
+ * MSB-first Huffman code into the order DEFLATE streams it in.
+ */
+uint32_t reverseBits(uint32_t code, int nbits);
+
+/**
+ * LSB-first bit writer producing a byte vector. Bits gather in a
+ * 64-bit accumulator that is flushed to the buffer 32 bits at a
+ * time, so a put() is a shift, an or and (every fourth byte) one
+ * word store.
+ */
 class BitWriter
 {
   public:
-    /** Append the low @p nbits bits of @p value, LSB first. */
-    void put(uint32_t value, int nbits);
+    /** Append the low @p nbits (0..32) bits of @p value, LSB first. */
+    void
+    put(uint32_t value, int nbits)
+    {
+        bitbuf_ |= (value & ((uint64_t{1} << nbits) - 1)) << nbits_;
+        nbits_ += nbits;
+        if (nbits_ >= 32)
+            flushWord();
+    }
 
     /**
      * Append a Huffman code: @p code holds the code with its first
      * (most significant) bit in bit position nbits-1. DEFLATE streams
      * Huffman codes MSB-first, so the bit order is reversed here.
+     * Hot loops put() codes reversed once with reverseBits() instead.
      */
-    void putHuff(uint32_t code, int nbits);
+    void putHuff(uint32_t code, int nbits)
+    {
+        put(reverseBits(code, nbits), nbits);
+    }
 
     /** Pad with zero bits to the next byte boundary. */
     void alignToByte();
@@ -36,18 +58,29 @@ class BitWriter
     /** Append a raw byte; the stream must be byte-aligned. */
     void byte(uint8_t v);
 
+    /** Append raw bytes; the stream must be byte-aligned. */
+    void bytes(std::span<const uint8_t> data);
+
     /** Number of complete bytes produced so far. */
-    size_t byteSize() const { return buf_.size(); }
+    size_t byteSize() const { return len_ + nbits_ / 8; }
     /** True when no partial byte is pending. */
-    bool aligned() const { return nbits_ == 0; }
+    bool aligned() const { return nbits_ % 8 == 0; }
 
     /** Flush any partial byte and move the buffer out. */
     std::vector<uint8_t> take();
 
   private:
-    std::vector<uint8_t> buf_;
-    uint32_t bitbuf_ = 0;
-    int nbits_ = 0;
+    /** Store the accumulator's low 32 bits (nbits_ >= 32). */
+    void flushWord();
+    /** Store the accumulator's whole bytes (nbits_ % 8 == 0). */
+    void flushBytes();
+    /** Make room for @p more bytes past len_. */
+    void reserveBytes(size_t more);
+
+    std::vector<uint8_t> buf_;  // bytes [0, len_) are written
+    size_t len_ = 0;
+    uint64_t bitbuf_ = 0;
+    int nbits_ = 0;  // pending bits in bitbuf_, < 32 between calls
 };
 
 /** LSB-first bit reader over an immutable byte buffer. */

@@ -146,11 +146,13 @@ roundTripAllCodecs(const std::vector<uint64_t> &values)
             field::decodeColumn(encoded, codec, values.size());
         EXPECT_EQ(decoded, values) << fieldCodecName(codec);
     }
-    // The chooser must pick a codec no worse than any other.
-    field::FieldCodec best = field::chooseCodec(values);
-    uint64_t bestSize = field::encodedSize(values, best);
+    // The chooser must pick the smallest codec, lowest tag on ties.
+    field::FieldCodec want = field::FieldCodec::Plain;
     for (field::FieldCodec codec : allCodecs)
-        EXPECT_LE(bestSize, field::encodedSize(values, codec));
+        if (field::encodedSize(values, codec) <
+            field::encodedSize(values, want))
+            want = codec;
+    EXPECT_EQ(field::chooseCodec(values), want);
 }
 
 std::vector<uint64_t>
@@ -193,6 +195,19 @@ TEST(FieldCodec, RoundTripsShapedColumns)
     roundTripAllCodecs({~0ull, 0, ~0ull, 1, ~0ull});
     // Low cardinality, high repetition.
     roundTripAllCodecs({80, 443, 80, 80, 443, 8080, 80, 443});
+    // Thousands of distinct values (the dictionary table grows and
+    // the chooser gives up on Dict early), then the same values
+    // repeated so that Dict wins.
+    std::vector<uint64_t> distinct;
+    for (uint64_t i = 0; i < 5000; ++i)
+        distinct.push_back(i * 0x9e3779b97f4a7c15ull);
+    roundTripAllCodecs(distinct);
+    std::vector<uint64_t> repeated;
+    for (int rep = 0; rep < 8; ++rep)
+        repeated.insert(repeated.end(), distinct.begin(),
+                        distinct.begin() + 100);
+    roundTripAllCodecs(repeated);
+    EXPECT_EQ(field::chooseCodec(repeated), field::FieldCodec::Dict);
 }
 
 TEST(FieldCodec, RoundTripsRandomColumns)

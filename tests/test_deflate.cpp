@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
@@ -14,6 +16,9 @@
 #include "codec/deflate/deflate.hpp"
 #include "codec/deflate/huffman.hpp"
 #include "codec/deflate/lz77.hpp"
+#include "trace/web_gen.hpp"
+#include "util/bytes.hpp"
+#include "util/checksum.hpp"
 #include "util/error.hpp"
 
 #if __has_include(<zlib.h>)
@@ -180,6 +185,117 @@ TEST(Huffman, OptimalityMatchesEntropyOrdering)
         EXPECT_LE(lens[i - 1], lens[i]);
 }
 
+namespace {
+
+/**
+ * Reference package-merge that carries each package's leaf list —
+ * the straightforward formulation buildCodeLengths() must match
+ * length for length, ties included.
+ */
+std::vector<uint8_t>
+referenceCodeLengths(const std::vector<uint64_t> &freqs, int maxBits)
+{
+    struct Package
+    {
+        uint64_t weight = 0;
+        std::vector<uint16_t> leaves;
+    };
+    auto less = [](const Package &a, const Package &b) {
+        return a.weight < b.weight;
+    };
+
+    std::vector<uint16_t> used;
+    for (uint16_t sym = 0; sym < freqs.size(); ++sym)
+        if (freqs[sym] > 0)
+            used.push_back(sym);
+    std::vector<uint8_t> lengths(freqs.size(), 0);
+    if (used.empty())
+        return lengths;
+    if (used.size() == 1) {
+        lengths[used[0]] = 1;
+        return lengths;
+    }
+
+    std::vector<Package> leafItems;
+    for (uint16_t sym : used)
+        leafItems.push_back(Package{freqs[sym], {sym}});
+    std::sort(leafItems.begin(), leafItems.end(), less);
+
+    std::vector<Package> below;
+    for (int level = 0; level < maxBits; ++level) {
+        std::vector<Package> pairs;
+        for (size_t i = 0; i + 1 < below.size(); i += 2) {
+            Package pkg;
+            pkg.weight = below[i].weight + below[i + 1].weight;
+            pkg.leaves = below[i].leaves;
+            pkg.leaves.insert(pkg.leaves.end(),
+                              below[i + 1].leaves.begin(),
+                              below[i + 1].leaves.end());
+            pairs.push_back(std::move(pkg));
+        }
+        std::vector<Package> merged;
+        std::merge(leafItems.begin(), leafItems.end(), pairs.begin(),
+                   pairs.end(), std::back_inserter(merged), less);
+        below = std::move(merged);
+    }
+    for (size_t i = 0; i < 2 * (used.size() - 1); ++i)
+        for (uint16_t sym : below[i].leaves)
+            ++lengths[sym];
+    return lengths;
+}
+
+} // namespace
+
+TEST(Huffman, PackageMergeMatchesLeafListReference)
+{
+    // The three DEFLATE alphabets at their length limits: lit/len
+    // (286 symbols, 15 bits), distance (30, 15) and code-length
+    // codes (19, 7). Each draws its used-symbol count, positions
+    // and weights per vector from one of three shapes: uniform,
+    // heavy ties (weights 1..3) and exponentially skewed (forces
+    // the length limit).
+    struct Alphabet
+    {
+        size_t size;
+        int maxBits;
+    };
+    const Alphabet alphabets[] = {{286, 15}, {30, 15}, {19, 7}};
+    std::mt19937_64 gen(1951);
+    int compared = 0, limited = 0;
+    for (const auto &alpha : alphabets) {
+        for (int round = 0; round < 700; ++round) {
+            size_t usedCount = 1 + gen() % alpha.size;
+            std::vector<size_t> order(alpha.size);
+            for (size_t i = 0; i < order.size(); ++i)
+                order[i] = i;
+            std::shuffle(order.begin(), order.end(), gen);
+            std::vector<uint64_t> freqs(alpha.size, 0);
+            int shape = round % 3;
+            for (size_t i = 0; i < usedCount; ++i) {
+                uint64_t w;
+                if (shape == 0)
+                    w = 1 + gen() % 100000;
+                else if (shape == 1)
+                    w = 1 + gen() % 3;
+                else
+                    w = (1ull << (gen() % 40)) + gen() % 4;
+                freqs[order[i]] = w;
+            }
+            auto got = fd::buildCodeLengths(freqs, alpha.maxBits);
+            auto want = referenceCodeLengths(freqs, alpha.maxBits);
+            ASSERT_EQ(got, want) << "alphabet " << alpha.size
+                                 << " round " << round;
+            if (*std::max_element(got.begin(), got.end()) ==
+                alpha.maxBits)
+                ++limited;
+            ++compared;
+        }
+    }
+    EXPECT_GE(compared, 2000);
+    // The skewed shape must actually reach the length limits.
+    EXPECT_GT(limited, 100);
+}
+
 TEST(Huffman, CanonicalCodesAreGapFree)
 {
     std::vector<uint8_t> lens = {3, 3, 3, 3, 3, 2, 4, 4};
@@ -315,6 +431,104 @@ INSTANTIATE_TEST_SUITE_P(
                       DeflateSweepParam{65537, 31},
                       DeflateSweepParam{200000, 64},
                       DeflateSweepParam{200000, 250}));
+
+// ---- pinned encoder output ---------------------------------------------
+
+namespace {
+
+/** @p head followed by its first @p len bytes again. */
+std::vector<uint8_t>
+repeatPrefix(std::vector<uint8_t> head, size_t len)
+{
+    head.insert(head.end(), head.begin(),
+                head.begin() + static_cast<std::ptrdiff_t>(len));
+    return head;
+}
+
+/** Varint-encoded inter-packet gaps (us) of a small web_gen trace. */
+std::vector<uint8_t>
+webGapColumn()
+{
+    fcc::trace::WebGenConfig cfg;
+    cfg.seed = 2005;
+    cfg.durationSec = 4.0;
+    cfg.flowsPerSec = 60.0;
+    auto trace = fcc::trace::WebTrafficGenerator(cfg).generate();
+    fcc::util::ByteWriter w;
+    uint64_t prev = 0;
+    for (const auto &pkt : trace.packets()) {
+        w.varint(pkt.timestampUs() - prev);
+        prev = pkt.timestampUs();
+    }
+    return w.take();
+}
+
+struct PinnedOutput
+{
+    const char *name;
+    std::vector<uint8_t> input;
+    size_t deflateSize;
+    uint32_t deflateCrc;
+    size_t zlibSize;
+    uint32_t zlibCrc;
+};
+
+} // namespace
+
+TEST(Deflate, EncoderOutputPinned)
+{
+    // Size and CRC-32 of the encoder's output, recorded before the
+    // encoder's fast paths (code tables, word-wide bit writer, ring
+    // hash chains, leaf-count package-merge) went in: the encoder
+    // must stay byte-identical, so archives never change.
+    std::vector<uint8_t> allBytes(256);
+    for (int i = 0; i < 256; ++i)
+        allBytes[i] = static_cast<uint8_t>(i);
+    auto multiBlock = randomBytes(200000, 41, 16);
+    ASSERT_GT(fd::lz77Tokenize(multiBlock).size(), 32768u);
+    // The repeated tail sits exactly one window back (a legal match)
+    // or one byte further (out of reach: literals only).
+    auto atWindow = repeatPrefix(randomBytes(32768, 23), 300);
+    auto pastWindow = repeatPrefix(randomBytes(32769, 29), 300);
+    auto longestDistance = [](const std::vector<uint8_t> &data) {
+        uint16_t most = 0;
+        for (const auto &tok : fd::lz77Tokenize(data))
+            most = std::max(most, tok.distance);
+        return most;
+    };
+    ASSERT_EQ(longestDistance(atWindow), 32768u);
+    ASSERT_LT(longestDistance(pastWindow), 32768u);
+
+    const PinnedOutput cases[] = {
+        {"empty", {},
+         5, 1164233810u, 11, 3123520168u},
+        {"one byte", {0x42},
+         3, 2613079449u, 9, 3625753811u},
+        {"all byte values", allBytes,
+         261, 2889552885u, 267, 2320552445u},
+        {"70 KB random", randomBytes(70 * 1024, 17),
+         71695, 3644362527u, 71701, 2572171578u},
+        {"300 KB run", std::vector<uint8_t>(300000, 0x5a),
+         308, 2459863850u, 314, 3541835188u},
+        {"distance 32768", atWindow,
+         32829, 2562798381u, 32835, 3843060248u},
+        {"distance 32769", pastWindow,
+         33079, 1880637369u, 33085, 3267649362u},
+        {"multi-block", multiBlock,
+         115281, 2317813823u, 115287, 4128509221u},
+        {"web_gen gaps", webGapColumn(),
+         5081, 3709769936u, 5087, 3064984465u},
+    };
+    for (const auto &c : cases) {
+        auto raw = fd::deflateCompress(c.input);
+        auto zlib = fd::zlibCompress(c.input);
+        EXPECT_EQ(raw.size(), c.deflateSize) << c.name;
+        EXPECT_EQ(fcc::util::Crc32::of(raw), c.deflateCrc) << c.name;
+        EXPECT_EQ(zlib.size(), c.zlibSize) << c.name;
+        EXPECT_EQ(fcc::util::Crc32::of(zlib), c.zlibCrc) << c.name;
+        EXPECT_EQ(fd::inflate(raw), c.input) << c.name;
+    }
+}
 
 // ---- corrupt stream handling -------------------------------------------
 
